@@ -36,16 +36,10 @@
 // bucket), making the cost the incremental-commit scheme of DESIGN.md
 // §3.11 amortizes explicit rather than folded invisibly into "policy".
 //
-// A "thermal_breakdown" section (v4) splits the banded transient fast
-// path of DESIGN.md §3.13: banded-RCM factor time, the standalone
-// gather/scatter permute cost that the fused sweep absorbs, one fused
-// permute+forward+backward solve, and — on a steady constant-power 2 s
-// window — the wall-clock the bitwise fixed-point early exit saves plus
-// the number of epoch steps it skips.  The lifetime reference lane and
-// the epoch lanes disable the trajectory memo (HAYAT_NO_THERMAL_MEMO)
-// so repetitions time the solve, not the LRU; the lifetime reference
-// lane additionally disables the early exit so the seed column stays
-// the true pre-§3.13 baseline.
+// A "thermal_breakdown" section (v4) splits the banded transient solve
+// of DESIGN.md §3.13: banded-RCM factor time, the standalone
+// gather/scatter permute cost that the fused sweep absorbs, and one
+// fused permute+forward+backward solve.
 //
 // A "failure_breakdown" section (v5) times the Monte Carlo lifetime
 // distribution of DESIGN.md §3.14 against its point-MTTF twin: the same
@@ -55,12 +49,6 @@
 // records anyway, so the distribution must stay a small constant factor
 // over the point run — CI's perf-smoke gate budgets the ratio.
 //
-// A "prune_quality" section (v3) runs the same lifetime unit under
-// --policy-prune radii against the exact sweep and reports projected
-// MTTF, aging skew (worst/average damage) and the policy-phase speedup,
-// so the speed/quality trade of spatial candidate pruning is tracked in
-// version control next to the kernels it rides on (EXPERIMENTS.md).
-//
 // Results go to stdout as a table and to a machine-readable JSON file
 // (default BENCH_kernels.json, committed at the repo root so speedups
 // are tracked in version control; see EXPERIMENTS.md).
@@ -69,7 +57,6 @@
 //   --small    CI mode: smallest configs only, short repetitions
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,7 +66,6 @@
 #include <utility>
 #include <vector>
 
-#include "aging/mttf.hpp"
 #include "common/matrix.hpp"
 #include "common/sparse.hpp"
 #include "core/hayat_policy.hpp"
@@ -121,22 +107,6 @@ class ScopedScalarAging {
   ~ScopedScalarAging() { unsetenv("HAYAT_SCALAR_AGING"); }
   ScopedScalarAging(const ScopedScalarAging&) = delete;
   ScopedScalarAging& operator=(const ScopedScalarAging&) = delete;
-};
-
-/// Sets one of the §3.13 opt-out twins (HAYAT_NO_THERMAL_MEMO /
-/// HAYAT_NO_THERMAL_EARLYEXIT) for the scope.  EpochSimulator::run reads
-/// them per call, so no rebuild is needed.
-class ScopedEnvFlag {
- public:
-  ScopedEnvFlag(const char* name, bool on) : name_(name) {
-    setenv(name, on ? "1" : "0", 1);
-  }
-  ~ScopedEnvFlag() { unsetenv(name_); }
-  ScopedEnvFlag(const ScopedEnvFlag&) = delete;
-  ScopedEnvFlag& operator=(const ScopedEnvFlag&) = delete;
-
- private:
-  const char* name_;
 };
 
 double elapsedNs(const Clock::time_point& t0) {
@@ -261,12 +231,6 @@ SystemConfig benchSystemConfig(int rows, int cols) {
 }
 
 double timeEpochWindow(const SystemConfig& sc, double minRepNs) {
-  // The trajectory memo (DESIGN.md §3.13) would turn every repetition
-  // after the first into a cache hit and time the LRU lookup instead of
-  // the window; both lanes run with it off so the numbers measure the
-  // solve.  The fixed-point early exit stays at its lane default — it is
-  // part of the banded fast path being measured.
-  const ScopedEnvFlag noMemo("HAYAT_NO_THERMAL_MEMO", true);
   System system = System::create(sc, 2015);
   Rng rng(7);
   const int budget = system.chip().coreCount() / 2;
@@ -293,18 +257,15 @@ Entry benchEpochWindow(int rows, int cols, double minRepNs) {
     e.bandedNs = timeEpochWindow(sc, minRepNs);
   }
   {
-    // Seed lane: dense LU and no fixed-point early exit — the epoch loop
-    // as it ran before §3.13.
+    // Seed lane: the dense reference LU.
     const ScopedBackend dense(true);
-    const ScopedEnvFlag noEarlyExit("HAYAT_NO_THERMAL_EARLYEXIT", true);
     e.denseNs = timeEpochWindow(sc, minRepNs);
   }
   return e;
 }
 
-/// §3.13 split of the banded transient fast path: where one solve spends
-/// its time (factor / permute / fused sweep) and what the bitwise
-/// fixed-point early exit saves on a steady epoch window.
+/// §3.13 split of the banded transient solve: where one solve spends its
+/// time (factor / permute / fused sweep).
 struct ThermalBreakdown {
   std::string config;
   int nodes = 0;
@@ -312,63 +273,7 @@ struct ThermalBreakdown {
   double permuteNs = 0.0;  ///< standalone gather+scatter through the RCM
                            ///< ordering — the copies the fused sweep absorbs
   double sweepNs = 0.0;    ///< one fused permute+forward+backward solve
-  double earlyExitSavedNs = 0.0;   ///< steady window: full minus early-exit
-  std::uint64_t stepsSkipped = 0;  ///< epoch steps skipped in that window
 };
-
-/// A mix whose threads hold one constant phase forever — constant IPC
-/// and constant per-step power, so the implicit-Euler iteration reaches
-/// a bitwise fixed point mid-window and the early exit engages.  IPC is
-/// bounded (3.0..3.75) and occupancy kept at 1/8 of the die so DTM stays
-/// quiet even at 16x16; any DTM event disables the exit for the window.
-WorkloadMix steadyBenchMix(int threads) {
-  std::vector<ThreadProfile> profiles;
-  for (int t = 0; t < threads; ++t)
-    profiles.emplace_back(
-        std::vector<ThreadPhase>{{1.0, 3.0 + 0.25 * (t % 4), 0.5, 1.0}},
-        2.0e9);
-  WorkloadMix mix;
-  mix.applications.emplace_back("steady", std::move(profiles), 1);
-  return mix;
-}
-
-/// Times one steady 2 s epoch window on the banded backend with the
-/// trajectory memo off (it would turn repetitions into LRU lookups) and
-/// the early exit as requested.  The steps-skipped delta, when asked
-/// for, comes from one extra un-timed run.
-double timeSteadyEpochWindow(int rows, int cols, bool earlyExit,
-                             double minRepNs, std::uint64_t* skippedOut) {
-  SystemConfig sc = benchSystemConfig(rows, cols);
-  // Bitwise lock needs more steps on bigger dies (measured lock points:
-  // ~1.4 s at 4x4, ~2.9 s at 8x8, ~10.4 s at 16x16); size the window so
-  // a comfortable tail remains to skip.
-  sc.epoch.window = rows <= 4 ? 2.0 : rows <= 8 ? 6.0 : 14.0;
-  const ScopedBackend banded(false);
-  const ScopedEnvFlag noMemo("HAYAT_NO_THERMAL_MEMO", true);
-  const ScopedEnvFlag noExit("HAYAT_NO_THERMAL_EARLYEXIT", !earlyExit);
-  System system = System::create(sc, 2015);
-  const int cores = system.chip().coreCount();
-  const WorkloadMix mix = steadyBenchMix(std::max(4, cores / 8));
-  const auto threads = runnableThreads(mix, chooseParallelism(mix, cores / 2));
-  Mapping mapping(cores);
-  int idx = 0;
-  for (const RunnableThread& t : threads) {
-    const int core = static_cast<int>((static_cast<long>(idx) * cores) /
-                                      static_cast<long>(threads.size()));
-    mapping.assign(t.ref, core,
-                   std::min(t.minFrequency, system.chip().currentFmax(core)),
-                   t.minFrequency);
-    ++idx;
-  }
-  const EpochSimulator sim(system.chip(), system.thermal(), system.leakage(),
-                           sc.epoch);
-  if (skippedOut != nullptr) {
-    const std::uint64_t before = epochStepsSkipped();
-    sim.run(mapping, mix);
-    *skippedOut = epochStepsSkipped() - before;
-  }
-  return timeNs([&] { sim.run(mapping, mix); }, minRepNs, 2);
-}
 
 ThermalBreakdown benchThermalBreakdown(int rows, int cols, double minRepNs) {
   ThermalBreakdown b;
@@ -401,11 +306,6 @@ ThermalBreakdown benchThermalBreakdown(int rows, int cols, double minRepNs) {
         solver.solveInPlace(x, scratch);
       },
       minRepNs, 5);
-  const double fullNs =
-      timeSteadyEpochWindow(rows, cols, false, minRepNs, nullptr);
-  const double fastNs =
-      timeSteadyEpochWindow(rows, cols, true, minRepNs, &b.stepsSkipped);
-  b.earlyExitSavedNs = std::max(0.0, fullNs - fastNs);
   return b;
 }
 
@@ -439,22 +339,17 @@ Entry benchLifetimeRun(int rows, int cols) {
   {
     // Fast lane: every default fast path on (banded solver, batched
     // cursor-warmed aging, snapshot-served policy loop, shared
-    // aging-table + LU caches across tasks, and the §3.13 trajectory
-    // memo + fixed-point early exit).
+    // aging-table + LU caches across tasks).
     const ScopedBackend banded(false);
     const ScopedScalarAging batched(false);
     Chip::clearSharedAgingTableCacheForTest();  // first build pays in full
-    clearTransientMemoForTest();
     e.bandedNs = timeLifetimeRun(sc);
   }
   {
     // Reference lane ≙ the seed: dense LU, per-core bisection aging,
-    // a fresh aging table per task (the scalar twin never caches), and
-    // neither memoization nor early exit in the epoch loop.
+    // and a fresh aging table per task (the scalar twin never caches).
     const ScopedBackend dense(true);
     const ScopedScalarAging scalar(true);
-    const ScopedEnvFlag noMemo("HAYAT_NO_THERMAL_MEMO", true);
-    const ScopedEnvFlag noEarlyExit("HAYAT_NO_THERMAL_EARLYEXIT", true);
     e.denseNs = timeLifetimeRun(sc);
   }
   return e;
@@ -563,59 +458,15 @@ FailureBreakdown benchFailureBreakdown(int rows, int cols, int samples,
   return b;
 }
 
-/// Speed/quality point of one spatial-pruning radius against the exact
-/// sweep: same chip, same workload seed, same horizon — only the
-/// candidate set differs (DESIGN.md §3.11).  radius == 0 is the exact
-/// reference row.
-struct PruneQuality {
-  std::string config;
-  int radius = 0;
-  double mttfYears = 0.0;
-  double agingSkew = 0.0;  ///< worst / average damage (1 = perfectly even)
-  double policyNs = 0.0;   ///< lifetimePhaseNanos().policy over the reps
-};
-
-PruneQuality benchPruneQuality(int rows, int cols, int radius, int reps) {
-  const SystemConfig sc = benchSystemConfig(rows, cols);
-  const ScopedBackend banded(false);
-  const ScopedScalarAging batched(false);
-  System system = System::create(sc, 2015);
-  LifetimeConfig lc;
-  lc.horizon = 1.0;
-  lc.epochLength = 0.25;
-  lc.workloadSeed = 77;
-  const LifetimeSimulator sim(lc);
-  HayatConfig hc;
-  hc.pruneRadius = radius;
-  HayatPolicy policy(hc);
-  system.resetHealth();
-  LifetimeResult result = sim.run(system, policy);  // warm-up + quality
-  resetLifetimePhaseNanos();
-  for (int r = 0; r < reps; ++r) {
-    system.resetHealth();
-    result = sim.run(system, policy);
-  }
-  const ChipReliability rel = result.reliability();
-  PruneQuality q;
-  q.config = gridLabel(rows, cols);
-  q.radius = radius;
-  q.mttfYears = rel.projectedMttf;
-  q.agingSkew =
-      rel.averageDamage > 0.0 ? rel.worstDamage / rel.averageDamage : 0.0;
-  q.policyNs = static_cast<double>(lifetimePhaseNanos().policy);
-  return q;
-}
-
 void writeJson(const std::string& path, const std::string& mode,
                const std::vector<Entry>& entries,
                const std::vector<Breakdown>& breakdowns,
                const std::vector<ThermalBreakdown>& thermalBreakdowns,
-               const std::vector<FailureBreakdown>& failureBreakdowns,
-               const std::vector<PruneQuality>& pruneQuality) {
+               const std::vector<FailureBreakdown>& failureBreakdowns) {
   std::ofstream out(path);
   out << "{\n"
       << "  \"benchmark\": \"bench_kernels\",\n"
-      << "  \"version\": 5,\n"
+      << "  \"version\": 6,\n"
       << "  \"mode\": \"" << mode << "\",\n"
       << "  \"units\": \"nanoseconds\",\n"
       << "  \"results\": [\n";
@@ -657,18 +508,13 @@ void writeJson(const std::string& path, const std::string& mode,
   for (std::size_t i = 0; i < thermalBreakdowns.size(); ++i) {
     const ThermalBreakdown& t = thermalBreakdowns[i];
     // permute_ns is what the standalone gather/scatter would cost; the
-    // fused sweep (sweep_ns) already absorbs it.  earlyexit_saved_ns and
-    // steps_skipped come from the steady 2 s window lane; CI's
-    // perf-smoke gate requires steps_skipped > 0 there.
+    // fused sweep (sweep_ns) already absorbs it.
     std::snprintf(buf, sizeof(buf),
                   "    {\"config\": \"%s\", \"nodes\": %d, "
                   "\"factor_ns\": %.1f, \"permute_ns\": %.1f, "
-                  "\"sweep_ns\": %.1f, \"earlyexit_saved_ns\": %.0f, "
-                  "\"steps_skipped\": %llu}%s\n",
+                  "\"sweep_ns\": %.1f}%s\n",
                   t.config.c_str(), t.nodes, t.factorNs, t.permuteNs,
-                  t.sweepNs, t.earlyExitSavedNs,
-                  static_cast<unsigned long long>(t.stepsSkipped),
-                  i + 1 < thermalBreakdowns.size() ? "," : "");
+                  t.sweepNs, i + 1 < thermalBreakdowns.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n"
@@ -686,25 +532,6 @@ void writeJson(const std::string& path, const std::string& mode,
                   f.config.c_str(), f.samples, f.pointNs, f.distributionNs,
                   f.overhead(), f.emKills, f.tddbKills,
                   i + 1 < failureBreakdowns.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n"
-      << "  \"prune_quality\": [\n";
-  double exactPolicyNs = 0.0;
-  for (const PruneQuality& q : pruneQuality)
-    if (q.radius == 0) exactPolicyNs = q.policyNs;
-  for (std::size_t i = 0; i < pruneQuality.size(); ++i) {
-    const PruneQuality& q = pruneQuality[i];
-    const double speedup = q.policyNs > 0.0 ? exactPolicyNs / q.policyNs : 0.0;
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"config\": \"%s\", \"radius\": %d, "
-                  "\"mode\": \"%s\", \"mttf_years\": %.4f, "
-                  "\"aging_skew\": %.4f, \"policy_ns\": %.0f, "
-                  "\"policy_speedup\": %.2f}%s\n",
-                  q.config.c_str(), q.radius,
-                  q.radius == 0 ? "exact" : "pruned", q.mttfYears,
-                  q.agingSkew, q.policyNs, speedup,
-                  i + 1 < pruneQuality.size() ? "," : "");
     out << buf;
   }
   out << "  ]\n}\n";
@@ -764,8 +591,8 @@ int main(int argc, char** argv) {
   std::vector<Breakdown> breakdowns;
   for (const auto& [rows, cols] : breakdownGrids)
     breakdowns.push_back(benchLifetimeBreakdown(rows, cols, small ? 2 : 4));
-  // Thermal split always includes 16x16 too: CI gates steps_skipped > 0
-  // on the steady lane at the validation scale (no dense lane — cheap).
+  // Thermal split: the same grids as the lifetime breakdown (no dense
+  // lane — cheap).
   std::vector<ThermalBreakdown> thermalBreakdowns;
   for (const auto& [rows, cols] : breakdownGrids)
     thermalBreakdowns.push_back(
@@ -778,16 +605,6 @@ int main(int argc, char** argv) {
   failureBreakdowns.push_back(benchFailureBreakdown(4, 4, 256, minRepNs));
   if (!small)
     failureBreakdowns.push_back(benchFailureBreakdown(8, 8, 256, minRepNs));
-  // Pruning speed/quality curve: exact (radius 0) first so the JSON
-  // speedup column has its reference, then the tracked radii.
-  const int pruneGrid = small ? 8 : 16;
-  const std::vector<int> pruneRadii = small ? std::vector<int>{0, 4}
-                                            : std::vector<int>{0, 2, 4, 8};
-  std::vector<PruneQuality> pruneQuality;
-  for (const int radius : pruneRadii)
-    pruneQuality.push_back(
-        benchPruneQuality(pruneGrid, pruneGrid, radius, small ? 1 : 3));
-
   std::printf("%-10s %-6s %-10s %6s %14s %14s %9s\n", "section", "model",
               "config", "nodes", "banded [ns]", "dense [ns]", "speedup");
   for (const Entry& e : entries)
@@ -803,14 +620,11 @@ int main(int argc, char** argv) {
                 100.0 * b.fraction(b.thermalNs),
                 100.0 * b.fraction(b.otherNs()),
                 100.0 * b.fraction(b.baselineNs));
-  std::printf("\n%-20s %-10s %12s %12s %12s %14s %8s\n", "thermal-breakdown",
-              "config", "factor [ns]", "perm [ns]", "sweep [ns]",
-              "ee-saved [ns]", "skipped");
+  std::printf("\n%-20s %-10s %12s %12s %12s\n", "thermal-breakdown",
+              "config", "factor [ns]", "perm [ns]", "sweep [ns]");
   for (const ThermalBreakdown& t : thermalBreakdowns)
-    std::printf("%-20s %-10s %12.0f %12.1f %12.1f %14.0f %8llu\n", "",
-                t.config.c_str(), t.factorNs, t.permuteNs, t.sweepNs,
-                t.earlyExitSavedNs,
-                static_cast<unsigned long long>(t.stepsSkipped));
+    std::printf("%-20s %-10s %12.0f %12.1f %12.1f\n", "", t.config.c_str(),
+                t.factorNs, t.permuteNs, t.sweepNs);
   std::printf("\n%-20s %-10s %8s %12s %14s %9s %8s %8s\n",
               "failure-breakdown", "config", "samples", "point [ns]",
               "dist [ns]", "overhead", "em", "tddb");
@@ -818,22 +632,8 @@ int main(int argc, char** argv) {
     std::printf("%-20s %-10s %8d %12.0f %14.0f %8.2fx %8ld %8ld\n", "",
                 f.config.c_str(), f.samples, f.pointNs, f.distributionNs,
                 f.overhead(), f.emKills, f.tddbKills);
-  std::printf("\n%-20s %-10s %8s %12s %10s %9s\n", "prune-quality", "config",
-              "radius", "mttf [yr]", "skew", "speedup");
-  double exactPolicyNs = 0.0;
-  for (const PruneQuality& q : pruneQuality)
-    if (q.radius == 0) exactPolicyNs = q.policyNs;
-  for (const PruneQuality& q : pruneQuality) {
-    const std::string radiusLabel =
-        q.radius == 0 ? "exact" : std::to_string(q.radius);
-    std::printf("%-20s %-10s %8s %12.3f %10.4f %8.2fx\n", "",
-                q.config.c_str(), radiusLabel.c_str(), q.mttfYears,
-                q.agingSkew,
-                q.policyNs > 0.0 ? exactPolicyNs / q.policyNs : 0.0);
-  }
-
   writeJson(outPath, small ? "small" : "full", entries, breakdowns,
-            thermalBreakdowns, failureBreakdowns, pruneQuality);
+            thermalBreakdowns, failureBreakdowns);
   std::printf("wrote %s\n", outPath.c_str());
   return 0;
 }

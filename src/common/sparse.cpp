@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -293,20 +292,8 @@ void BandedFactorization::solveInPlace(Vector& x) const {
   }
 }
 
-namespace {
-
-/// Bitwise double equality (the fixed-point test must distinguish -0.0
-/// from +0.0 and never equate distinct NaN payloads — exact replay is
-/// the contract, not numeric closeness).
-inline bool bitsEqual(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-}  // namespace
-
-bool BandedFactorization::solvePermuted(Vector& x, Vector& scratch,
-                                        const std::vector<int>& perm,
-                                        const double* compare) const {
+void BandedFactorization::solvePermuted(Vector& x, Vector& scratch,
+                                        const std::vector<int>& perm) const {
   HAYAT_DCHECK(static_cast<int>(x.size()) == n_);
   HAYAT_DCHECK(static_cast<int>(perm.size()) == n_);
   HAYAT_DCHECK(static_cast<int>(scratch.size()) >= n_);
@@ -345,20 +332,15 @@ bool BandedFactorization::solvePermuted(Vector& x, Vector& scratch,
   // Back substitution.  Row i-1's first subtraction uses the final x[i],
   // which only exists after row i completes, so rows cannot be jammed
   // here without reordering row i-1's ascending-j sequence; the sweep
-  // stays row-at-a-time with the scatter (and the fixed-point compare)
-  // fused into the final write.
-  bool equal = compare != nullptr;
+  // stays row-at-a-time with the scatter fused into the final write.
   for (int r = n_ - 1; r >= 0; --r) {
     double acc = s[r];
     const int jEnd = std::min(n_ - 1, r + band_);
     for (int j = r + 1; j <= jEnd; ++j) acc -= at(r, j) * s[j];
     const double v = acc / at(r, r);
     s[r] = v;
-    const auto dst = static_cast<std::size_t>(p[r]);
-    if (equal && !bitsEqual(v, compare[dst])) equal = false;
-    x[dst] = v;
+    x[static_cast<std::size_t>(p[r])] = v;
   }
-  return equal;
 }
 
 void BandedFactorization::solveManyInPlace(double* xs, int count) const {
@@ -482,7 +464,7 @@ void RcSolver::solveInPlace(Vector& x, Vector& scratch) const {
   scratch.resize(static_cast<std::size_t>(n_));
   HAYAT_DCHECK(static_cast<int>(scratch.size()) >= n_);
   if (banded_ != nullptr) {
-    banded_->solvePermuted(x, scratch, perm_, nullptr);
+    banded_->solvePermuted(x, scratch, perm_);
     return;
   }
   for (int i = 0; i < n_; ++i)
@@ -493,33 +475,6 @@ void RcSolver::solveInPlace(Vector& x, Vector& scratch) const {
   for (int i = 0; i < n_; ++i)
     x[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
         scratch[static_cast<std::size_t>(i)];
-}
-
-bool RcSolver::solveInPlaceCompare(Vector& x, Vector& scratch,
-                                   const Vector& compare) const {
-  HAYAT_REQUIRE(static_cast<int>(x.size()) == n_, "rhs size mismatch");
-  HAYAT_REQUIRE(static_cast<int>(compare.size()) == n_,
-                "compare size mismatch");
-  scratch.resize(static_cast<std::size_t>(n_));
-  HAYAT_DCHECK(static_cast<int>(scratch.size()) >= n_);
-  if (banded_ != nullptr)
-    return banded_->solvePermuted(x, scratch, perm_, compare.data());
-  // Dense reference twin: pack, solve, and fuse the bitwise compare
-  // into the unpack pass so both backends report the same fixed point.
-  for (int i = 0; i < n_; ++i)
-    scratch[static_cast<std::size_t>(i)] =
-        x[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
-  scratch = dense_->solve(scratch);  // reference path; allocates
-  HAYAT_DCHECK(static_cast<int>(scratch.size()) >= n_);
-  bool equal = true;
-  for (int i = 0; i < n_; ++i) {
-    const auto dst = static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)]);
-    const double v = scratch[static_cast<std::size_t>(i)];
-    if (equal && std::memcmp(&v, &compare[dst], sizeof(double)) != 0)
-      equal = false;
-    x[dst] = v;
-  }
-  return equal;
 }
 
 void RcSolver::solveManyInPlace(std::vector<Vector>& xs,

@@ -135,15 +135,10 @@ class BandedFactorization {
   /// traversal; every accumulator still applies its subtractions in
   /// ascending j, so the operation sequence per element is exactly
   /// pack -> solveInPlace -> unpack and the results are bitwise equal.
-  ///
-  /// When `compare` is non-null (original-domain array of size()), the
-  /// scatter also checks each solution element bitwise against it and
-  /// the call returns true iff all elements matched — the fused
-  /// fixed-point detector of the transient early exit.  Returns false
-  /// when `compare` is null.  No allocations; `scratch` must already
-  /// hold at least size() elements (debug-asserted).
-  bool solvePermuted(Vector& x, Vector& scratch, const std::vector<int>& perm,
-                     const double* compare) const;
+  /// No allocations; `scratch` must already hold at least size()
+  /// elements (debug-asserted).
+  void solvePermuted(Vector& x, Vector& scratch,
+                     const std::vector<int>& perm) const;
 
   /// Multi-RHS solve: `count` right-hand sides stored interleaved
   /// (element i of RHS k at xs[i*count + k]), each replaced by its
@@ -213,14 +208,6 @@ class RcSolver {
   /// backend runs the fused-permutation blocked sweeps (§3.13): no
   /// separate permute passes, bitwise-identical results.
   void solveInPlace(Vector& x, Vector& scratch) const;
-
-  /// As solveInPlace, but additionally compares the solution bitwise
-  /// against `compare` (size()) during the scatter writeback — one fused
-  /// pass, no extra traversal.  Returns true iff x's solution is
-  /// element-for-element bit-identical to `compare`.  The transient
-  /// solver uses this to prove a step reached its fixed point.
-  bool solveInPlaceCompare(Vector& x, Vector& scratch,
-                           const Vector& compare) const;
 
   /// Solves A x = b for every vector in `xs` at once (each holds its b
   /// on entry and its solution on return).  The banded backend packs the

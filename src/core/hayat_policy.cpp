@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "common/alloc_counter.hpp"
@@ -15,15 +14,6 @@ namespace hayat {
 
 namespace {
 std::atomic<std::uint64_t> placementLoopAllocs{0};
-
-/// A/B twin for the spatial pruning knob (mirrors HAYAT_SCALAR_AGING):
-/// when set, the exact full candidate sweep runs regardless of
-/// HayatConfig::pruneRadius, so pruned and exact results can be compared
-/// on the same spec.
-bool exactCandidatesRequested() {
-  const char* env = std::getenv("HAYAT_EXACT_CANDIDATES");
-  return env != nullptr && env[0] == '1';
-}
 
 /// Commits between full fixed-point re-anchors of the prediction
 /// baseline (§3.11).  Each commit is a rank-1 fold that neglects the
@@ -52,7 +42,6 @@ HayatPolicy::HayatPolicy(HayatConfig config) : config_(config) {
   HAYAT_REQUIRE(config.earlyBeta >= 0.0 && config.lateBeta >= 0.0,
                 "beta coefficients must be non-negative");
   HAYAT_REQUIRE(config.lateAgingOnset >= 0.0, "negative late-aging onset");
-  HAYAT_REQUIRE(config.pruneRadius >= 0, "negative prune radius");
 }
 
 double HayatPolicy::weightOf(double slackGHz, double healthRatio,
@@ -172,20 +161,11 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
   sc.rejectDelta.reserve(static_cast<std::size_t>(n));
   sc.rejectFloor.reserve(static_cast<std::size_t>(n));
   sc.rejectOrder.resize(static_cast<std::size_t>(n));
-  const bool pruneActive =
-      config_.pruneRadius > 0 && !exactCandidatesRequested();
-  if (pruneActive) {
-    sc.influenceOrder.resize(static_cast<std::size_t>(n));
-    sc.memberStamp.resize(static_cast<std::size_t>(n), 0);
-    sc.keepStamp.resize(static_cast<std::size_t>(n), 0);
-  }
   lastDecisions_.clear();
   lastDecisions_.reserve(threads.size());
   // Telemetry totals are accumulated locally and emitted after the loop
   // so sharded-counter bootstrap cannot charge the alloc contract.
   std::uint64_t candidatesFeasibleTotal = 0;
-  std::uint64_t candidatesPrunedTotal = 0;
-  int lastCommitted = -1;  // no committed site yet this round
   int commitsSinceAnchor = 0;
   const std::uint64_t allocsBefore = heapAllocationCount();
 
@@ -206,37 +186,6 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
     HAYAT_REQUIRE(!sc.candidates.empty(), "no idle core left");
     const int feasible = static_cast<int>(sc.candidates.size());
     candidatesFeasibleTotal += static_cast<std::uint64_t>(feasible);
-
-    // --- Spatial pruning (§3.11, opt-in). ---
-    // Keep only the pruneRadius feasible cores with the strongest kernel
-    // influence on the site the previous commit perturbed; the first
-    // placement of a round has no such site and is never pruned.  The
-    // kept set is the first R feasible cores in influence order, so it
-    // is never empty and is nested in R (monotonicity, pinned by
-    // tests/test_properties.cpp).  Ascending core order is preserved so
-    // the downstream evaluation is order-identical to an exact sweep
-    // over the same set.
-    if (pruneActive && lastCommitted >= 0 &&
-        feasible > config_.pruneRadius) {
-      const std::uint64_t stamp = ++pruneStamp_;
-      for (int cand : sc.candidates)
-        sc.memberStamp[static_cast<std::size_t>(cand)] = stamp;
-      int kept = 0;
-      for (int i = 0; i < n && kept < config_.pruneRadius; ++i) {
-        const int c = sc.influenceOrder[static_cast<std::size_t>(i)];
-        if (sc.memberStamp[static_cast<std::size_t>(c)] == stamp) {
-          sc.keepStamp[static_cast<std::size_t>(c)] = stamp;
-          ++kept;
-        }
-      }
-      std::size_t w = 0;
-      for (int cand : sc.candidates)
-        if (sc.keepStamp[static_cast<std::size_t>(cand)] == stamp)
-          sc.candidates[w++] = cand;
-      sc.candidates.resize(w);
-    }
-    candidatesPrunedTotal +=
-        static_cast<std::uint64_t>(feasible) - sc.candidates.size();
 
     // --- Evaluate candidates (Algorithm 1 lines 5-20). ---
     // Two passes: the thermal what-if and Tsafe guard per candidate
@@ -440,12 +389,8 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
       predictor.refreshBaseline(sc.baseline, sc.predictScratch);
       commitsSinceAnchor = 0;
     }
-    lastCommitted = chosen;
-    if (pruneActive)
-      predictor.influenceOrder(chosen, sc.influenceOrder.data());
-    lastDecisions_.push_back(HayatPlacementDecision{
-        chosen, winner.weight, feasible,
-        static_cast<int>(sc.candidates.size())});
+    lastDecisions_.push_back(
+        HayatPlacementDecision{chosen, winner.weight, feasible});
   }
 
   const std::uint64_t loopAllocs = heapAllocationCount() - allocsBefore;
@@ -460,11 +405,7 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
     static telemetry::Counter& feasibleCounter =
         telemetry::Registry::global().counter(
             "hayat_policy_candidates_total");
-    static telemetry::Counter& prunedCounter =
-        telemetry::Registry::global().counter(
-            "hayat_policy_candidates_pruned_total");
     feasibleCounter.add(candidatesFeasibleTotal);
-    if (candidatesPrunedTotal > 0) prunedCounter.add(candidatesPrunedTotal);
   }
 }
 

@@ -59,17 +59,6 @@ struct HayatConfig {
   /// is most spent.  Motivated by bench_ablation_mttf, which shows pure
   /// frequency matching concentrates usage on the same tight-match cores.
   double wearGamma = 0.0;
-  /// Opt-in spatial candidate pruning (DESIGN.md §3.11): after the first
-  /// placement of a round, only the `pruneRadius` feasible cores with the
-  /// strongest kernel influence on the previously committed site are
-  /// evaluated.  0 (the default) keeps the exact full candidate sweep;
-  /// the scoring arithmetic is unchanged either way, so the chosen
-  /// weight is always an exact score — pruning can only shrink the set
-  /// it is taken over.  HAYAT_EXACT_CANDIDATES=1 forces the exact sweep
-  /// regardless of this knob (the A/B twin, mirroring
-  /// HAYAT_SCALAR_AGING).  Pruned sets are nested in the radius: a
-  /// larger pruneRadius never removes a candidate a smaller one kept.
-  int pruneRadius = 0;
 };
 
 /// One evaluated candidate (the struct pushed into list S, line 19).
@@ -92,8 +81,6 @@ struct HayatPlacementDecision {
   int core = -1;
   double weight = 0.0;  ///< exact Eq. 9 score of the chosen candidate
   int candidatesFeasible = 0;  ///< idle + fast-enough cores this round
-  int candidatesEvaluated = 0;  ///< after spatial pruning (== feasible
-                                ///< when pruning is off or inactive)
 };
 
 /// Algorithm 1.
@@ -160,18 +147,11 @@ class HayatPolicy : public MappingPolicy {
     std::vector<double> rejectDelta;  ///< CandidateDecision::deltaNext
     std::vector<double> rejectFloor;  ///< O(1) lower bound on the peak
     std::vector<int> rejectOrder;     ///< reject indices, floor-ascending
-    // Spatial pruning (§3.11): cores in descending influence order on
-    // the last committed site, plus stamp arrays for O(1) membership /
-    // keep marks without per-round clears.
-    std::vector<int> influenceOrder;
-    std::vector<std::uint64_t> memberStamp;
-    std::vector<std::uint64_t> keepStamp;
   };
 
   HayatConfig config_;
   Scratch scratch_;
   std::vector<HayatPlacementDecision> lastDecisions_;
-  std::uint64_t pruneStamp_ = 0;
 };
 
 /// Heap allocations observed inside HayatPolicy's per-thread placement

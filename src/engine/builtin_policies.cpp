@@ -50,7 +50,7 @@ std::unique_ptr<MappingPolicy> makeHayat(const PolicyParams& params) {
   requireKnownParams("Hayat", params,
                      {"earlyAlphaGHz", "earlyBeta", "lateAlphaGHz", "lateBeta",
                       "wmax", "lateAgingOnset", "dutyPolicy",
-                      "leakageIterations", "wearGamma", "pruneRadius"});
+                      "leakageIterations", "wearGamma"});
   HayatConfig config;
   config.earlyAlphaGHz = paramOr(params, "earlyAlphaGHz", config.earlyAlphaGHz);
   config.earlyBeta = paramOr(params, "earlyBeta", config.earlyBeta);
@@ -64,8 +64,6 @@ std::unique_ptr<MappingPolicy> makeHayat(const PolicyParams& params) {
   config.leakageIterations = static_cast<int>(
       paramOr(params, "leakageIterations", config.leakageIterations));
   config.wearGamma = paramOr(params, "wearGamma", config.wearGamma);
-  config.pruneRadius = static_cast<int>(
-      paramOr(params, "pruneRadius", static_cast<double>(config.pruneRadius)));
   return std::make_unique<HayatPolicy>(config);
 }
 

@@ -167,9 +167,6 @@ std::vector<RunTask> ExperimentEngine::expand(
   HAYAT_REQUIRE(!spec.darkFractions.empty(), "spec has no dark fractions");
   HAYAT_REQUIRE(!spec.policies.empty(), "spec has no policies");
   HAYAT_REQUIRE(spec.repetitions >= 1, "spec needs >= 1 repetition");
-  // Validate the sweep-wide prune knob up front so a malformed string
-  // fails loudly before any task runs; radius 0 means exact.
-  (void)parsePolicyPrune(spec.policyPrune);
 
   std::vector<RunTask> tasks;
   tasks.reserve(static_cast<std::size_t>(spec.taskCount()));
@@ -182,12 +179,7 @@ std::vector<RunTask> ExperimentEngine::expand(
           task.chip = chip;
           task.repetition = rep;
           task.darkFraction = dark;
-          // The sweep-wide prune knob reaches Hayat-family policies as a
-          // policy param (so it ships to workers inside the task and
-          // shows up in the result label); an explicit per-policy
-          // pruneRadius param wins.  Consumers selecting by label use
-          // the same effectiveTaskPolicy rule.
-          task.policy = effectiveTaskPolicy(spec, policy);
+          task.policy = policy;
           task.system = spec.system;
           task.system.epoch.thermalSensorSeed = deriveSeed(
               spec.baseSeed, chip, rep, SeedStream::ThermalSensor);

@@ -2,8 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -198,7 +196,6 @@ void visitSpecFields(ExperimentSpec& spec, SpecFieldVisitor& v) {
   v.field("populationSeed", spec.populationSeed);
   v.field("baseSeed", spec.baseSeed);
   v.field("repetitions", spec.repetitions);
-  v.field("policyPrune", spec.policyPrune);
 
   int chipCount = static_cast<int>(spec.chips.size());
   v.field("chips.count", chipCount);
@@ -250,39 +247,12 @@ std::uint64_t deriveSeed(std::uint64_t baseSeed, int chip, int repetition,
 std::string specSignature(const ExperimentSpec& spec) {
   ExperimentSpec copy = spec;  // the walk takes mutable refs; keep callers const
   SignatureWriter w;
-  // v4: the failure Monte Carlo knobs joined the walk (§3.14) — cached
-  // v3 point-MTTF tables must not shadow distribution-mode results.
-  int version = 4;
+  // v5: the sweep-wide prune field left the walk with spatial pruning;
+  // the bump makes that layout change explicit.
+  int version = 5;
   w.field("spec.version", version);
   visitSpecFields(copy, w);
   return w.str();
-}
-
-int parsePolicyPrune(const std::string& prune) {
-  if (prune.empty()) return 0;
-  const std::string prefix = "radius:";
-  HAYAT_REQUIRE(prune.rfind(prefix, 0) == 0,
-                "policy-prune must be \"\" or \"radius:R\" (R >= 1 or inf)");
-  const std::string arg = prune.substr(prefix.size());
-  if (arg == "inf") return std::numeric_limits<int>::max();
-  HAYAT_REQUIRE(!arg.empty() &&
-                    arg.find_first_not_of("0123456789") == std::string::npos,
-                "policy-prune radius must be a positive integer or \"inf\"");
-  const long radius = std::strtol(arg.c_str(), nullptr, 10);
-  HAYAT_REQUIRE(radius >= 1 && radius <= std::numeric_limits<int>::max(),
-                "policy-prune radius must be >= 1");
-  return static_cast<int>(radius);
-}
-
-PolicySpec effectiveTaskPolicy(const ExperimentSpec& spec,
-                               const PolicySpec& policy) {
-  PolicySpec effective = policy;
-  const int pruneRadius = parsePolicyPrune(spec.policyPrune);
-  if (pruneRadius > 0 && policy.name == "Hayat" &&
-      !effective.params.count("pruneRadius")) {
-    effective.params["pruneRadius"] = static_cast<double>(pruneRadius);
-  }
-  return effective;
 }
 
 std::uint64_t specHash(const ExperimentSpec& spec) {

@@ -66,16 +66,6 @@ struct ExperimentSpec {
   std::vector<double> darkFractions = {0.5};
   int repetitions = 1;                      ///< independent seed draws
 
-  /// Spatial candidate pruning for every Hayat-family policy in the
-  /// sweep (DESIGN.md §3.11): "" (default) keeps the exact sweep,
-  /// "radius:R" evaluates only the R strongest feasible neighbours of
-  /// the previous commit, "radius:inf" is the pruned code path with an
-  /// unbounded radius (placement-identical to exact).  Pruning may
-  /// change placements, so the knob is part of the signature/hash —
-  /// exact and pruned results can never collide in the result cache.
-  /// Policies that set an explicit pruneRadius param keep it.
-  std::string policyPrune;
-
   std::uint64_t populationSeed = 2015;      ///< variation-map population
   std::uint64_t baseSeed = 99;              ///< root of all derived seeds
 
@@ -121,18 +111,5 @@ std::string specSignature(const ExperimentSpec& spec);
 /// FNV-1a 64-bit hash of the signature — the result-cache key.  Stable
 /// across processes and platforms.
 std::uint64_t specHash(const ExperimentSpec& spec);
-
-/// Parses ExperimentSpec::policyPrune: "" -> 0 (exact), "radius:R" -> R
-/// (R >= 1), "radius:inf" -> INT_MAX.  Throws on anything else.
-int parsePolicyPrune(const std::string& prune);
-
-/// The policy spec a task expanded from `spec` actually carries: the
-/// sweep-wide prune knob reaches Hayat-family policies as a
-/// `pruneRadius` param (an explicit per-policy param wins).  Anything
-/// that selects results by label — reports, the CLI summary — must
-/// query the label of *this* spec, not the bare entry in
-/// `spec.policies`, or a pruned sweep's rows are invisible to it.
-PolicySpec effectiveTaskPolicy(const ExperimentSpec& spec,
-                               const PolicySpec& policy);
 
 }  // namespace hayat::engine

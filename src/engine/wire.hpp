@@ -33,8 +33,8 @@ namespace hayat::engine {
 /// section (counter deltas for coordinator-side merge).
 /// v3: CachePush frame (coordinator warms remote result caches); the
 /// Result metrics section may also carry histogram deltas ("h," lines).
-/// v4: ExperimentSpec payload gained the policyPrune field (the spec
-/// walker drives the codec, so the layout changed with it).
+/// v4: ExperimentSpec payload gained the sweep-wide prune field (the
+/// spec walker drives the codec, so the layout changed with it).
 /// v5: workers keep every Spec they are sent (a map keyed by spec hash)
 /// instead of exactly one, and accept Spec frames at any point in the
 /// stream — one connection can interleave tasks from all the concurrent
@@ -45,7 +45,9 @@ namespace hayat::engine {
 /// v6: the spec walker gained the failure Monte Carlo knobs and Result
 /// records carry a failure section (result-cache format v4), so both
 /// payload layouts changed.
-inline constexpr std::uint8_t kWireVersion = 6;
+/// v7: the sweep-wide prune field left the spec walker with spatial
+/// pruning, so the Spec payload layout changed again.
+inline constexpr std::uint8_t kWireVersion = 7;
 
 /// Message types.
 enum class MsgType : std::uint8_t {

@@ -1,7 +1,6 @@
 #include "power/leakage.hpp"
 
 #include <cmath>
-#include <type_traits>
 
 #include "common/error.hpp"
 
@@ -47,30 +46,6 @@ Watts LeakageModel::coreLeakageGated() const {
 Watts LeakageModel::coreLeakage(int core, Kelvin temperature,
                                 bool poweredOn) const {
   return poweredOn ? coreLeakageOn(core, temperature) : coreLeakageGated();
-}
-
-namespace {
-template <typename T>
-void appendBytes(std::string& out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-}  // namespace
-
-void LeakageModel::signatureInto(std::string& out) const {
-  appendBytes(out, config_.nominalCoreLeakage);
-  appendBytes(out, config_.gatedCoreLeakage);
-  appendBytes(out, config_.referenceTemperature);
-  appendBytes(out, config_.nominalVth);
-  appendBytes(out, config_.subthresholdSlopeFactor);
-  appendBytes(out, variation_->config().subthresholdSlopeFactor);
-  const int cores = variation_->coreCount();
-  appendBytes(out, cores);
-  for (int c = 0; c < cores; ++c) {
-    const std::vector<int>& pts = variation_->corePoints(c);
-    appendBytes(out, static_cast<int>(pts.size()));
-    for (int p : pts) appendBytes(out, variation_->pointVthDelta(p));
-  }
 }
 
 }  // namespace hayat

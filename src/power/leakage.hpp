@@ -13,7 +13,6 @@
 // VariationMap::coreLeakageMultiplier (Eq. 2).
 #pragma once
 
-#include <string>
 
 #include "common/units.hpp"
 #include "variation/variation_map.hpp"
@@ -53,14 +52,6 @@ class LeakageModel {
   Watts coreLeakage(int core, Kelvin temperature, bool poweredOn) const;
 
   const LeakageConfig& config() const { return config_; }
-
-  /// Appends the exact bytes every coreLeakage() output can depend on —
-  /// the LeakageConfig fields, the variation map's subthreshold slope,
-  /// and each core's grid-point Vth deltas — to `out`.  Two models with
-  /// equal signatures return bitwise-equal leakage for every
-  /// (core, temperature, state), which is what the trajectory memo of
-  /// DESIGN.md §3.13 keys on.  Raw little-endian bytes, not readable.
-  void signatureInto(std::string& out) const;
 
  private:
   LeakageConfig config_;

@@ -82,21 +82,13 @@ long epochSimulatorRunCount();
 /// (sanitizer builds).  Monotonic, thread-safe.
 std::uint64_t epochStepLoopAllocs();
 
-/// Process-wide count of transient steps skipped by the DESIGN.md §3.13
-/// bitwise fixed-point early exit (steps whose temperatures, power, and
-/// DTM outcome are provably identical to the previous step's and are
-/// replayed without a solve).  Monotonic, thread-safe.
-std::uint64_t epochStepsSkipped();
-
-/// Process-wide hit/miss counts of the shared trajectory memo (§3.13):
-/// windows served from the LRU without simulation vs simulated.
-/// Monotonic, thread-safe.
-std::uint64_t transientMemoHits();
+/// Compatibility shims for callers of the removed trajectory memo and
+/// fixed-point early exit (DESIGN.md §3.13).  Every window now runs the
+/// full step loop: no steps are skipped and no window is replayed.
+std::uint64_t epochStepsSkipped();  ///< always 0
+std::uint64_t transientMemoHits();  ///< always 0
+/// Every window is simulated: equals epochSimulatorRunCount().
 std::uint64_t transientMemoMisses();
-
-/// Drops every entry of the shared trajectory memo (tests only —
-/// isolates memo-twin and alloc-count assertions from earlier runs).
-void clearTransientMemoForTest();
 
 /// Ground-truth fine-grained simulator.
 class EpochSimulator {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
-#include <numeric>
 
 #include "common/error.hpp"
 
@@ -106,19 +105,6 @@ const double* ThermalPredictor::kernelColumn(int c) const {
 
 double ThermalPredictor::columnSum(int c) const {
   return profile_->columnSums[static_cast<std::size_t>(c)];
-}
-
-void ThermalPredictor::influenceOrder(int site, int* out) const {
-  const int n = coreCount();
-  HAYAT_REQUIRE(site >= 0 && site < n, "influence site out of range");
-  const double* col = kernelColumn(site);
-  std::iota(out, out + n, 0);
-  std::sort(out, out + n, [col](int a, int b) {
-    const double ka = col[a];
-    const double kb = col[b];
-    if (ka != kb) return ka > kb;
-    return a < b;  // deterministic tie-break
-  });
 }
 
 Vector ThermalPredictor::predict(const Vector& dynamicPower,

@@ -190,12 +190,6 @@ class ThermalPredictor {
   /// Sum_i K(i, c) in index order — the closed-form tSum ingredient.
   double columnSum(int c) const;
 
-  /// Cores ordered by descending thermal influence K(core, site) on
-  /// `site` (ties: lower index first), written to `out[0..n)`.  The
-  /// spatial-pruning policy walks this order to keep the R strongest
-  /// feasible neighbours of the last committed placement.
-  void influenceOrder(int site, int* out) const;
-
  private:
   const ThermalModel* thermal_;
   const LeakageModel* leakage_;

@@ -45,35 +45,6 @@ void TransientSolver::stepInPlace(Vector& nodeTemperatures,
   std::swap(nodeTemperatures, scratch);
 }
 
-bool TransientSolver::stepInPlaceDetect(Vector& nodeTemperatures,
-                                        const Vector& corePower,
-                                        Vector& scratch,
-                                        Vector& solverScratch) const {
-  const int cores = model_->coreCount();
-  const std::size_t n = static_cast<std::size_t>(model_->nodeCount());
-  HAYAT_REQUIRE(nodeTemperatures.size() == n,
-                "node temperature vector size mismatch");
-  HAYAT_REQUIRE(static_cast<int>(corePower.size()) == cores,
-                "power vector size must equal core count");
-  scratch.resize(n);
-  const Vector& b = model_->ambientLoad();
-  const Vector& capOverDt = op_->capOverDt;
-  for (std::size_t i = 0; i < n; ++i) {
-    double p = 0.0;
-    if (static_cast<int>(i) < cores) {
-      p = corePower[i];
-      HAYAT_REQUIRE(p >= 0.0, "negative core power");
-    }
-    scratch[i] = p + b[i] + capOverDt[i] * nodeTemperatures[i];
-  }
-  // Unlike stepInPlace, T_n must survive the solve to serve as the
-  // compare target, so the solver works out of `solverScratch`.
-  const bool fixedPoint = op_->solver.solveInPlaceCompare(
-      scratch, solverScratch, nodeTemperatures);
-  std::swap(nodeTemperatures, scratch);
-  return fixedPoint;
-}
-
 Vector TransientSolver::run(Vector nodeTemperatures, const Vector& corePower,
                             int steps) const {
   HAYAT_REQUIRE(steps >= 0, "negative step count");

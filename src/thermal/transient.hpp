@@ -39,19 +39,6 @@ class TransientSolver {
   void stepInPlace(Vector& nodeTemperatures, const Vector& corePower,
                    Vector& scratch) const;
 
-  /// As stepInPlace, but reports whether the step reached its bitwise
-  /// fixed point: returns true iff T_{n+1} is element-for-element
-  /// bit-identical to T_n.  Because the integrator is deterministic
-  /// with constant power, a true return proves every later step of the
-  /// window reproduces the same vector — the DESIGN.md §3.13 early-exit
-  /// certificate.  The compare is fused into the solver's scatter
-  /// writeback (no extra traversal); `solverScratch` replaces the
-  /// temperature buffer stepInPlace clobbers as solver workspace, so
-  /// T_n stays intact for the comparison.  Temperatures advance exactly
-  /// as stepInPlace (bitwise-identical float sequence).
-  bool stepInPlaceDetect(Vector& nodeTemperatures, const Vector& corePower,
-                         Vector& scratch, Vector& solverScratch) const;
-
   /// Advances by `steps` steps with constant power (convenience).
   Vector run(Vector nodeTemperatures, const Vector& corePower,
              int steps) const;

@@ -9,13 +9,10 @@
 //     the scalar reference element for element.
 // The commit fold approximates the leakage fixed point the same way the
 // what-if path does, so its drift against a full refreshBaseline is
-// bounded, not zero — that bound is pinned too.  The opt-in spatial
-// pruning knob and its HAYAT_EXACT_CANDIDATES twin are covered at the
-// policy level.
+// bounded, not zero — that bound is pinned too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <vector>
 
@@ -36,18 +33,6 @@ SystemConfig gridConfig(int rows, int cols) {
   sc.elementsPerPath = 12;
   return sc;
 }
-
-/// Sets an environment variable for the enclosing scope.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() { unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 /// A random partially-powered baseline on `system`'s chip.
 ThermalPredictor::Baseline randomBaseline(const ThermalPredictor& predictor,
@@ -335,60 +320,6 @@ TEST(HayatPolicyLoop, MapIsDeterministic) {
   for (std::size_t i = 0; i < a.lastDecisions().size(); ++i) {
     EXPECT_EQ(a.lastDecisions()[i].core, b.lastDecisions()[i].core);
     EXPECT_EQ(a.lastDecisions()[i].weight, b.lastDecisions()[i].weight);
-  }
-}
-
-// The HAYAT_EXACT_CANDIDATES twin forces the exact sweep: with it set, a
-// pruned policy places exactly like an unpruned one and evaluates every
-// feasible candidate.
-TEST(HayatPolicyPrune, ExactCandidatesTwinDisablesPruning) {
-  System system = System::create(gridConfig(8, 8), 5);
-  Rng rng(17);
-  const WorkloadMix mix = ParsecLikeSuite::makeMix(rng, 12, 3.0e9);
-  const PolicyContext ctx = contextFor(system, mix);
-
-  HayatConfig exactConfig;
-  HayatPolicy exact(exactConfig);
-  const Mapping exactMap = exact.map(ctx);
-
-  HayatConfig prunedConfig;
-  prunedConfig.pruneRadius = 2;
-  HayatPolicy pruned(prunedConfig);
-  {
-    const ScopedEnv twin("HAYAT_EXACT_CANDIDATES", "1");
-    const Mapping twinMap = pruned.map(ctx);
-    ASSERT_EQ(twinMap.threads().size(), exactMap.threads().size());
-    for (std::size_t i = 0; i < exactMap.threads().size(); ++i)
-      EXPECT_EQ(twinMap.threads()[i].core, exactMap.threads()[i].core);
-    for (const HayatPlacementDecision& d : pruned.lastDecisions())
-      EXPECT_EQ(d.candidatesEvaluated, d.candidatesFeasible);
-  }
-}
-
-// Pruning restricts the candidate set but never invents candidates, and
-// the first placement of a round is never pruned.
-TEST(HayatPolicyPrune, PrunedSetIsBoundedAndNeverEmpty) {
-  System system = System::create(gridConfig(8, 8), 5);
-  Rng rng(17);
-  const WorkloadMix mix = ParsecLikeSuite::makeMix(rng, 12, 3.0e9);
-  const PolicyContext ctx = contextFor(system, mix);
-
-  HayatConfig config;
-  config.pruneRadius = 3;
-  HayatPolicy policy(config);
-  const Mapping m = policy.map(ctx);
-  EXPECT_FALSE(m.threads().empty());
-  const std::vector<HayatPlacementDecision>& d = policy.lastDecisions();
-  ASSERT_FALSE(d.empty());
-  EXPECT_EQ(d.front().candidatesEvaluated, d.front().candidatesFeasible);
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    EXPECT_GE(d[i].candidatesEvaluated, 1) << "round " << i;
-    EXPECT_LE(d[i].candidatesEvaluated, d[i].candidatesFeasible)
-        << "round " << i;
-    if (i > 0 && d[i].candidatesFeasible > config.pruneRadius) {
-      EXPECT_LE(d[i].candidatesEvaluated, config.pruneRadius)
-          << "round " << i;
-    }
   }
 }
 

@@ -9,6 +9,8 @@
 #include <initializer_list>
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "baselines/simple_policies.hpp"
 #include "baselines/vaa.hpp"
@@ -108,6 +110,11 @@ struct PolicyCase {
   std::function<std::unique_ptr<MappingPolicy>()> make;
   double darkFraction;
 };
+
+// Print a case by name.  GoogleTest's default printer dumps the object's
+// bytes, heap addresses included, and that dump becomes part of the test
+// names CTest registers, so they would change from build to build.
+void PrintTo(const PolicyCase& c, std::ostream* os) { *os << c.name; }
 
 class AllPolicies : public ::testing::TestWithParam<PolicyCase> {};
 

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 
 #include "baselines/simple_policies.hpp"
@@ -177,75 +176,6 @@ TEST_P(SeededProperty, PredictorBoundedErrorOnRandomPatterns) {
       solveCoupledSteadyState(system.thermal(), system.leakage(), dyn, on);
   ASSERT_TRUE(truth.converged);
   EXPECT_LT(maxAbsDiff(predicted, truth.coreTemperatures), 2.0);
-}
-
-TEST_P(SeededProperty, UnboundedPruneRadiusPlacesIdenticallyToExact) {
-  // radius:inf runs the pruned code path but can never drop a feasible
-  // candidate, so the placement sequence must be identical to exact mode
-  // on any chip/mix (the --policy-prune=radius:inf contract).
-  const std::uint64_t seed = GetParam();
-  System system = System::create(fastConfig(), seed);
-  Rng rng(seed * 29 + 7);
-  const WorkloadMix mix = ParsecLikeSuite::makeMix(rng, 8, 3.0e9);
-  PolicyContext ctx;
-  ctx.chip = &system.chip();
-  ctx.thermal = &system.thermal();
-  ctx.leakage = &system.leakage();
-  ctx.mix = &mix;
-  ctx.minDarkFraction = 0.5;
-
-  HayatPolicy exact;
-  HayatConfig unboundedConfig;
-  unboundedConfig.pruneRadius = std::numeric_limits<int>::max();
-  HayatPolicy unbounded(unboundedConfig);
-  const Mapping me = exact.map(ctx);
-  const Mapping mu = unbounded.map(ctx);
-  ASSERT_EQ(me.threads().size(), mu.threads().size());
-  for (std::size_t i = 0; i < me.threads().size(); ++i) {
-    EXPECT_EQ(me.threads()[i].core, mu.threads()[i].core);
-    EXPECT_EQ(me.threads()[i].frequency, mu.threads()[i].frequency);
-  }
-  ASSERT_EQ(exact.lastDecisions().size(), unbounded.lastDecisions().size());
-  for (std::size_t i = 0; i < exact.lastDecisions().size(); ++i) {
-    EXPECT_EQ(exact.lastDecisions()[i].core,
-              unbounded.lastDecisions()[i].core);
-    EXPECT_EQ(exact.lastDecisions()[i].weight,
-              unbounded.lastDecisions()[i].weight);
-  }
-}
-
-TEST_P(SeededProperty, PruneRadiusIsMonotoneInTheExactObjective) {
-  // Pruned candidate sets are nested in the radius (the kept set is the
-  // first R feasible cores in influence order), and the scoring
-  // arithmetic is shared with exact mode — so for the placement round
-  // right after the first commit, a larger radius can only improve (or
-  // tie) the exact-scored weight of the chosen candidate.  That round is
-  // the comparable one: the first placement is never pruned, so every
-  // radius scores round 2 against the identical baseline (later rounds
-  // diverge and are not compared).
-  const std::uint64_t seed = GetParam();
-  System system = System::create(fastConfig(), seed);
-  Rng rng(seed * 37 + 13);
-  const WorkloadMix mix = ParsecLikeSuite::makeMix(rng, 8, 3.0e9);
-  PolicyContext ctx;
-  ctx.chip = &system.chip();
-  ctx.thermal = &system.thermal();
-  ctx.leakage = &system.leakage();
-  ctx.mix = &mix;
-  ctx.minDarkFraction = 0.5;
-
-  double previousWeight = -1e300;
-  for (const int radius : {1, 2, 4, 8, 16}) {
-    HayatConfig config;
-    config.pruneRadius = radius;
-    HayatPolicy policy(config);
-    policy.map(ctx);
-    const std::vector<HayatPlacementDecision>& d = policy.lastDecisions();
-    if (d.size() < 2) break;  // single-thread mix: nothing to compare
-    EXPECT_GE(d[1].weight, previousWeight)
-        << "radius " << radius << " worsened the exact-scored objective";
-    previousWeight = d[1].weight;
-  }
 }
 
 TEST_P(SeededProperty, WearoutLifetimeMonotoneInTemperatureAndStress) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <thread>
@@ -727,21 +728,7 @@ TEST_F(EpochFixture, DeterministicRuns) {
   EXPECT_LT(maxAbsDiff(a.averageTemperature, b.averageTemperature), 1e-12);
 }
 
-// --- §3.13 fast paths: early exit + trajectory memo ------------------------
-
-/// Sets one environment flag for the lifetime of a scope.
-class ScopedEnvFlag {
- public:
-  ScopedEnvFlag(const char* name, bool on) : name_(name) {
-    setenv(name, on ? "1" : "0", 1);
-  }
-  ~ScopedEnvFlag() { unsetenv(name_); }
-  ScopedEnvFlag(const ScopedEnvFlag&) = delete;
-  ScopedEnvFlag& operator=(const ScopedEnvFlag&) = delete;
-
- private:
-  const char* name_;
-};
+// --- Window bytes ------------------------------------------------------------
 
 void expectEpochResultsBitwiseEqual(const EpochResult& a, const EpochResult& b,
                                     const char* label) {
@@ -802,57 +789,8 @@ Mapping scatterMapping(const WorkloadMix& mix, const Chip& chip,
   return m;
 }
 
-TEST(EpochEarlyExit, BitwiseMatchesFullWindowAcrossSizes) {
-  for (const int edge : {4, 8, 16}) {
-    System system = System::create(gridConfig(edge), 77);
-    const WorkloadMix mix = smallMix(std::max(4, edge * edge / 2), 5);
-    EpochConfig ec;
-    ec.window = 0.3;
-    const EpochSimulator sim(system.chip(), system.thermal(),
-                             system.leakage(), ec);
-    const Mapping m = scatterMapping(mix, system.chip(), edge * edge / 2);
-    const ScopedEnvFlag noMemo("HAYAT_NO_THERMAL_MEMO", true);
-    EpochResult reference{Vector{}, Vector{}, {}, 0, 0, {}, 0, 0, 0, 0,
-                          Mapping(1)};
-    {
-      const ScopedEnvFlag noExit("HAYAT_NO_THERMAL_EARLYEXIT", true);
-      reference = sim.run(m, mix);
-    }
-    const EpochResult fast = sim.run(m, mix);
-    expectEpochResultsBitwiseEqual(reference, fast,
-                                   edge == 4   ? "4x4"
-                                   : edge == 8 ? "8x8"
-                                               : "16x16");
-  }
-}
-
-TEST(EpochEarlyExit, BitwiseMatchesFullWindowUnderDenseTwin) {
-  // The dense reference backend must agree with itself across the
-  // early-exit twin too (the detector's fused compare also has a dense
-  // implementation).
-  ThermalModel::clearSharedTransientCacheForTest();
-  const ScopedEnvFlag dense("HAYAT_DENSE_SOLVER", true);
-  System system = System::create(gridConfig(4), 77);
-  const WorkloadMix mix = smallMix(8, 5);
-  EpochConfig ec;
-  ec.window = 0.3;
-  const EpochSimulator sim(system.chip(), system.thermal(), system.leakage(),
-                           ec);
-  const Mapping m = scatterMapping(mix, system.chip(), 8);
-  const ScopedEnvFlag noMemo("HAYAT_NO_THERMAL_MEMO", true);
-  EpochResult reference{Vector{}, Vector{}, {}, 0, 0, {}, 0, 0, 0, 0,
-                        Mapping(1)};
-  {
-    const ScopedEnvFlag noExit("HAYAT_NO_THERMAL_EARLYEXIT", true);
-    reference = sim.run(m, mix);
-  }
-  const EpochResult fast = sim.run(m, mix);
-  expectEpochResultsBitwiseEqual(reference, fast, "dense 4x4");
-  ThermalModel::clearSharedTransientCacheForTest();
-}
-
-/// A mix whose threads hold one constant phase forever — the steady
-/// workload the fixed-point early exit is designed for.
+/// A mix whose threads hold one constant phase forever: the window
+/// settles onto its steady state early.
 WorkloadMix steadyMix(int threads) {
   std::vector<ThreadProfile> profiles;
   for (int t = 0; t < threads; ++t)
@@ -863,72 +801,144 @@ WorkloadMix steadyMix(int threads) {
   return mix;
 }
 
-TEST(EpochEarlyExit, SteadyWindowSkipsSteps) {
-  clearTransientMemoForTest();
-  System system = System::create(gridConfig(4), 77);
-  const WorkloadMix mix = steadyMix(4);
-  EpochConfig ec;  // default 2 s window: ~303 steps, plenty to lock
-  const EpochSimulator sim(system.chip(), system.thermal(), system.leakage(),
-                           ec);
-  const Mapping m = scatterMapping(mix, system.chip(), 4);
-  const std::uint64_t before = epochStepsSkipped();
-  const EpochResult r = sim.run(m, mix);
-  EXPECT_EQ(r.dtm.events(), 0);
-  EXPECT_GT(epochStepsSkipped() - before, 0u)
-      << "steady constant-power window reached no bitwise fixed point";
+std::uint64_t fnvAppend(std::uint64_t h, double v) {
+  char buf[40];
+  const int len = std::snprintf(buf, sizeof buf, "%.17g;", v);
+  for (int i = 0; i < len; ++i) {
+    h ^= static_cast<unsigned char>(buf[i]);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
-TEST(EpochMemo, TwinIdentityAndHitCounting) {
-  clearTransientMemoForTest();
-  System system = System::create(gridConfig(4), 77);
-  const WorkloadMix mix = smallMix(8, 5);
-  EpochConfig ec;
-  ec.window = 0.2;
-  const EpochSimulator sim(system.chip(), system.thermal(), system.leakage(),
-                           ec);
-  const Mapping m = scatterMapping(mix, system.chip(), 8);
-  EpochResult reference{Vector{}, Vector{}, {}, 0, 0, {}, 0, 0, 0, 0,
-                        Mapping(1)};
+/// FNV-1a over the %.17g bytes of every EpochResult field, final mapping
+/// included.
+std::uint64_t windowDigest(const EpochResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (double v : r.averageTemperature) h = fnvAppend(h, v);
+  for (double v : r.peakTemperature) h = fnvAppend(h, v);
+  for (double v : r.duty) h = fnvAppend(h, v);
+  h = fnvAppend(h, r.chipPeak);
+  h = fnvAppend(h, r.chipTimeAverage);
+  h = fnvAppend(h, static_cast<double>(r.dtm.migrations));
+  h = fnvAppend(h, static_cast<double>(r.dtm.throttles));
+  h = fnvAppend(h, static_cast<double>(r.dtm.restores));
+  h = fnvAppend(h, r.throttledSteps);
+  h = fnvAppend(h, r.totalSteps);
+  h = fnvAppend(h, r.achievedIps);
+  h = fnvAppend(h, r.requiredIps);
+  for (int c = 0; c < r.finalMapping.coreCount(); ++c) {
+    const auto& slot = r.finalMapping.onCore(c);
+    h = fnvAppend(h, slot.has_value() ? 1.0 : 0.0);
+    if (!slot.has_value()) continue;
+    h = fnvAppend(h, slot->ref.app);
+    h = fnvAppend(h, slot->ref.thread);
+    h = fnvAppend(h, slot->frequency);
+    h = fnvAppend(h, slot->requiredFrequency);
+  }
+  return h;
+}
+
+/// Sets one environment variable for the lifetime of a scope.
+class ScopedEnvFlag {
+ public:
+  explicit ScopedEnvFlag(const char* name) : name_(name) {
+    setenv(name, "1", 1);
+  }
+  ~ScopedEnvFlag() { unsetenv(name_); }
+  ScopedEnvFlag(const ScopedEnvFlag&) = delete;
+  ScopedEnvFlag& operator=(const ScopedEnvFlag&) = delete;
+
+ private:
+  const char* name_;
+};
+
+// The digests were recorded from the full step-by-step reference path
+// (trajectory memo and fixed-point early exit both off) before those two
+// fast paths were removed, and both fast paths reproduced them.  A change
+// to any window byte — temperatures, duty, DTM counts, throughput, final
+// mapping — shows here.
+TEST(EpochSimulator, WindowBytesArePinned) {
+  struct Window {
+    const char* label;
+    std::uint64_t digest;
+  };
+  const auto check = [](const Window& w, const EpochSimulator& sim,
+                        const Mapping& m, const WorkloadMix& mix) {
+    const EpochResult r = sim.run(m, mix);
+    EXPECT_EQ(windowDigest(r), w.digest) << w.label;
+    return r;
+  };
+  // Scatter windows across sizes (0.3 s); 16x16 runs the DTM hard.
+  const Window scatter[] = {{"4x4", 0x3ad74a96ffd20351ull},
+                            {"8x8", 0x38fff7173fdcfc11ull},
+                            {"16x16", 0x71fcad9cbb512671ull}};
+  for (const int edge : {4, 8, 16}) {
+    System system = System::create(gridConfig(edge), 77);
+    const WorkloadMix mix = smallMix(std::max(4, edge * edge / 2), 5);
+    EpochConfig ec;
+    ec.window = 0.3;
+    const EpochSimulator sim(system.chip(), system.thermal(),
+                             system.leakage(), ec);
+    check(scatter[edge == 4 ? 0 : edge == 8 ? 1 : 2], sim,
+          scatterMapping(mix, system.chip(), edge * edge / 2), mix);
+  }
   {
-    const ScopedEnvFlag noMemo("HAYAT_NO_THERMAL_MEMO", true);
-    reference = sim.run(m, mix);
+    // The dense reference backend gives the banded default's bytes.
+    ThermalModel::clearSharedTransientCacheForTest();
+    const ScopedEnvFlag dense("HAYAT_DENSE_SOLVER");
+    System system = System::create(gridConfig(4), 77);
+    const WorkloadMix mix = smallMix(8, 5);
+    EpochConfig ec;
+    ec.window = 0.3;
+    const EpochSimulator sim(system.chip(), system.thermal(),
+                             system.leakage(), ec);
+    check({"dense 4x4", 0x3ad74a96ffd20351ull}, sim,
+          scatterMapping(mix, system.chip(), 8), mix);
+    ThermalModel::clearSharedTransientCacheForTest();
   }
-  const std::uint64_t misses0 = transientMemoMisses();
-  const std::uint64_t hits0 = transientMemoHits();
-  const EpochResult first = sim.run(m, mix);   // miss: simulates + stores
-  const EpochResult second = sim.run(m, mix);  // hit: replays the store
-  EXPECT_EQ(transientMemoMisses() - misses0, 1u);
-  EXPECT_EQ(transientMemoHits() - hits0, 1u);
-  expectEpochResultsBitwiseEqual(reference, first, "memo miss");
-  expectEpochResultsBitwiseEqual(reference, second, "memo hit");
+  {
+    // Constant power over the default 2 s window.
+    System system = System::create(gridConfig(4), 77);
+    const WorkloadMix mix = steadyMix(4);
+    const EpochSimulator sim(system.chip(), system.thermal(),
+                             system.leakage(), EpochConfig{});
+    const EpochResult r = check({"steady 2 s", 0xbd39262e6645e0e3ull}, sim,
+                                scatterMapping(mix, system.chip(), 4), mix);
+    EXPECT_EQ(r.dtm.events(), 0);
+  }
+  {
+    // A low Tsafe makes the DTM migrate and throttle.
+    System system = System::create(gridConfig(4), 77);
+    const WorkloadMix mix = smallMix(8, 5);
+    EpochConfig ec;
+    ec.window = 0.3;
+    ec.dtm.tsafe = 340.0;
+    const EpochSimulator sim(system.chip(), system.thermal(),
+                             system.leakage(), ec);
+    const EpochResult r = check({"dtm active", 0x5aa89a4df1a27454ull}, sim,
+                                scatterMapping(mix, system.chip(), 8), mix);
+    EXPECT_GT(r.dtm.events(), 0);
+  }
+  {
+    // Noisy sensors near Tsafe: the DTM reacts to the noisy readings and
+    // also restores.
+    System system = System::create(gridConfig(4), 77);
+    const WorkloadMix mix = smallMix(8, 5);
+    EpochConfig ec;
+    ec.window = 0.3;
+    ec.dtm.tsafe = 335.0;
+    ec.thermalSensorNoise.gaussianSigma = 1.0;
+    ec.thermalSensorNoise.quantization = 0.5;
+    const EpochSimulator sim(system.chip(), system.thermal(),
+                             system.leakage(), ec);
+    const EpochResult r = check({"noisy sensors", 0x01b52e9a2ee0f7c5ull}, sim,
+                                scatterMapping(mix, system.chip(), 8), mix);
+    EXPECT_GT(r.dtm.restores, 0);
+  }
 }
 
-TEST(EpochMemo, HitPathAllocationBound) {
-  if (!allocCounterActive()) {
-    GTEST_SKIP() << "allocation counter compiled out (sanitizer build)";
-  }
-  clearTransientMemoForTest();
-  System system = System::create(gridConfig(4), 77);
-  const WorkloadMix mix = smallMix(8, 5);
-  EpochConfig ec;
-  ec.window = 0.2;
-  const EpochSimulator sim(system.chip(), system.thermal(), system.leakage(),
-                           ec);
-  const Mapping m = scatterMapping(mix, system.chip(), 8);
-  (void)sim.run(m, mix);  // miss: stores the window, warms the key buffer
-  const std::uint64_t hits0 = transientMemoHits();
-  const std::uint64_t before = heapAllocationCount();
-  (void)sim.run(m, mix);  // hit
-  const std::uint64_t hitAllocs = heapAllocationCount() - before;
-  ASSERT_EQ(transientMemoHits() - hits0, 1u);
-  // The hit replays a stored result: the only allowed allocations are
-  // the returned EpochResult's own vectors (no solves, no warm start).
-  EXPECT_LE(hitAllocs, 16u)
-      << "memo hit path allocated " << hitAllocs << " times";
-}
-
-TEST(EpochMemo, ConcurrentRunsShareMemoSafely) {
-  clearTransientMemoForTest();
+TEST(EpochSimulator, ConcurrentRunsMatchSerial) {
   System system = System::create(gridConfig(4), 77);
   const WorkloadMix mixA = smallMix(8, 5);
   const WorkloadMix mixB = smallMix(8, 9);
@@ -938,15 +948,10 @@ TEST(EpochMemo, ConcurrentRunsShareMemoSafely) {
                            ec);
   const Mapping mA = scatterMapping(mixA, system.chip(), 8);
   const Mapping mB = scatterMapping(mixB, system.chip(), 8);
-  EpochResult refA{Vector{}, Vector{}, {}, 0, 0, {}, 0, 0, 0, 0, Mapping(1)};
-  EpochResult refB{Vector{}, Vector{}, {}, 0, 0, {}, 0, 0, 0, 0, Mapping(1)};
-  {
-    const ScopedEnvFlag noMemo("HAYAT_NO_THERMAL_MEMO", true);
-    refA = sim.run(mA, mixA);
-    refB = sim.run(mB, mixB);
-  }
+  const EpochResult refA = sim.run(mA, mixA);
+  const EpochResult refB = sim.run(mB, mixB);
   std::vector<std::thread> workers;
-  std::vector<EpochResult> results;
+  std::vector<std::pair<bool, EpochResult>> results;
   std::mutex resultsMutex;
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([&, w] {
@@ -954,17 +959,14 @@ TEST(EpochMemo, ConcurrentRunsShareMemoSafely) {
         const bool useA = (w + iter) % 2 == 0;
         EpochResult r = sim.run(useA ? mA : mB, useA ? mixA : mixB);
         std::lock_guard<std::mutex> lock(resultsMutex);
-        results.push_back(std::move(r));
+        results.emplace_back(useA, std::move(r));
       }
     });
   }
   for (std::thread& t : workers) t.join();
-  for (const EpochResult& r : results) {
-    const bool isA =
-        r.averageTemperature.size() == refA.averageTemperature.size() &&
-        r.achievedIps == refA.achievedIps;
+  ASSERT_EQ(results.size(), 12u);
+  for (const auto& [isA, r] : results)
     expectEpochResultsBitwiseEqual(isA ? refA : refB, r, "concurrent");
-  }
 }
 
 }  // namespace

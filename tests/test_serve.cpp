@@ -753,6 +753,44 @@ TEST(ServeServerTest, SigkillMidSweepRecoversToByteIdenticalResults) {
   restarted.stop();
 }
 
+// A spec journaled before the sweep-wide prune field left the spec walk
+// carries that field's line right after `repetitions=`.  After a restart
+// the job must fail with an error; it must never decode into a different
+// spec and run.
+TEST(ServeServerTest, JournaledSpecWithRetiredPruneFieldFails) {
+  TempDir queueDir("srv_retired");
+  TempDir cacheDir("srv_retired_cache");
+  // The retired key, built from pieces: nothing in the code base names it.
+  const std::string retiredLine = std::string("policy") + "Prune=\n";
+  std::string specText = engine::encodeSpec(testSpec("srv-retired"));
+  const std::string anchor = "repetitions=1\n";
+  const std::size_t at = specText.find(anchor);
+  ASSERT_NE(at, std::string::npos);
+  specText.insert(at + anchor.size(), retiredLine);
+  EXPECT_THROW(engine::decodeSpec(specText), Error);
+
+  {
+    JobQueue queue(queueDir.path());
+    JobRecord job;
+    job.specName = "srv-retired";
+    job.specText = specText;
+    ASSERT_EQ(queue.submit(job), JobQueue::Admission::Accepted);
+    ASSERT_EQ(job.id, "j1");
+  }  // the old daemon is gone; its journal survives
+
+  ServeServer server(smallServerConfig(queueDir.path(), cacheDir.path()));
+  ASSERT_TRUE(server.start());
+  const int port = server.port();
+  ASSERT_TRUE(awaitJobState(port, "j1", "failed"));
+  HttpClientResponse resp;
+  ASSERT_TRUE(httpRequest("127.0.0.1", port, "GET", "/jobs/j1", "", {}, resp));
+  ASSERT_EQ(resp.status, 200);
+  EXPECT_NE(resp.body.find("wire spec: expected 'chips.count'"),
+            std::string::npos)
+      << resp.body;
+  server.stop();
+}
+
 // ------------------------------------------------ wire v5 + worker sniff
 
 TEST(WireV5Test, WorkerServesMultipleSpecsOnOneConnection) {

@@ -369,32 +369,6 @@ TEST(PrometheusExportTest, BytesArePinned) {
   EXPECT_EQ(out.str(), kGoldenProm);
 }
 
-// The §3.13 memo-layer metrics as a `hayat serve` /metrics scrape would
-// surface them: trajectory-memo traffic plus early-exit step savings.
-const char* const kGoldenMemoLayerProm =
-    R"gold(# TYPE hayat_epoch_steps_skipped counter
-hayat_epoch_steps_skipped 45
-# TYPE hayat_transient_cache_hits counter
-hayat_transient_cache_hits 3
-# TYPE hayat_transient_cache_misses counter
-hayat_transient_cache_misses 2
-# TYPE hayat_transient_cache_bytes gauge
-hayat_transient_cache_bytes 8192
-)gold";
-
-TEST(PrometheusExportTest, MemoLayerCounterBytesArePinned) {
-  MetricsSnapshot snap;
-  snap.counters = {{"hayat_epoch_steps_skipped", 45},
-                   {"hayat_transient_cache_hits", 3},
-                   {"hayat_transient_cache_misses", 2}};
-  snap.gauges = {{"hayat_transient_cache_bytes", 8192.0}};
-  std::ostringstream out;
-  writePrometheus(out, snap);
-  ASSERT_FALSE(dumpIfRegen("memo-layer.prom", out.str()))
-      << "HAYAT_REGEN_GOLDEN is set; paste the dumped bytes";
-  EXPECT_EQ(out.str(), kGoldenMemoLayerProm);
-}
-
 const char* const kGoldenWorkerHistProm =
     R"gold(# TYPE hayat_h_seconds histogram
 hayat_h_seconds_bucket{le="0.10000000000000001"} 2

@@ -166,7 +166,6 @@ engine::ExperimentSpec buildSweepSpec(FlagParser& flags) {
   for (int c = 0; c < flags.getInt("chips"); ++c) spec.chips.push_back(c);
   spec.populationSeed = static_cast<std::uint64_t>(flags.getInt("seed"));
   spec.baseSeed = static_cast<std::uint64_t>(flags.getInt("workload-seed"));
-  spec.policyPrune = flags.getString("policy-prune");
   return spec;
 }
 
@@ -194,10 +193,7 @@ int cmdSweep(FlagParser& flags) {
   TextTable out({"policy", "dark", "avg fmax@end [GHz]",
                  "chip fmax@end [GHz]", "DTM events"});
   for (const double dark : spec.darkFractions) {
-    for (const PolicySpec& specPolicy : spec.policies) {
-      // Select by the label the tasks actually ran under — a pruned
-      // sweep's Hayat rows are labeled "Hayat(pruneRadius=R)".
-      const PolicySpec p = engine::effectiveTaskPolicy(spec, specPolicy);
+    for (const PolicySpec& p : spec.policies) {
       std::vector<double> avgF, chipF, events;
       for (const engine::RunResult* run : table.select(p.label(), dark)) {
         avgF.push_back(run->lifetime.epochs.back().averageFmax / 1e9);
@@ -621,9 +617,6 @@ int main(int argc, char** argv) {
   flags.addFlag("policy",
                 "mapping policy: hayat|vaa|random|coolest|utilization",
                 "hayat");
-  flags.addFlag("policy-prune",
-                "sweep subcommand: Hayat spatial candidate pruning "
-                "(radius:R or radius:inf; default off = exact)");
   flags.addFlag("dark", "minimum dark-silicon fraction", "0.5");
   flags.addFlag("years", "simulated lifetime horizon", "10");
   flags.addFlag("epoch", "aging epoch length in years", "0.25");
