@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace hayat {
 
@@ -41,8 +42,11 @@ struct SharedAgingTableCache {
 };
 
 SharedAgingTableCache& sharedAgingTableCache() {
-  static SharedAgingTableCache* cache =
-      new SharedAgingTableCache();  // never destroyed
+  static SharedAgingTableCache* cache = [] {
+    auto* c = new SharedAgingTableCache();  // never destroyed
+    telemetry::holdAcrossFork(c->mutex);    // forked workers read it
+    return c;
+  }();
   return *cache;
 }
 

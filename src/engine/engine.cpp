@@ -1,5 +1,8 @@
 #include "engine/engine.hpp"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -10,8 +13,9 @@
 
 #include "common/error.hpp"
 #include "engine/builtin_policies.hpp"
-#include "engine/dispatcher.hpp"
 #include "engine/result_cache.hpp"
+#include "engine/scheduler.hpp"
+#include "engine/wire.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/series.hpp"
 #include "telemetry/span.hpp"
@@ -20,11 +24,6 @@
 namespace hayat::engine {
 
 namespace {
-
-bool cacheDisabledByEnv() {
-  return std::getenv("HAYAT_NO_CACHE") != nullptr ||
-         std::getenv("HAYAT_NO_SWEEP_CACHE") != nullptr;
-}
 
 /// Feeds every epoch of every run into the telemetry epoch series.
 /// Recording from the merged table (rather than inside the simulator)
@@ -58,24 +57,54 @@ void recordSweepSeries(const SweepTable& table) {
   }
 }
 
-bool hasTcpEndpoint(const std::vector<WorkerEndpoint>& endpoints) {
-  for (const WorkerEndpoint& e : endpoints)
-    if (e.kind == WorkerEndpoint::Kind::Tcp) return true;
-  return false;
+/// Runs every task of `spec` on the lanes of a scheduler built for this
+/// call — one lane per endpoint slot, each degrading to its own thread
+/// when its worker cannot be reached.  The caller owns the result cache,
+/// so the scheduler's is off.  A task that fails even locally fails the
+/// run, and its error is rethrown here.
+SweepTable runOnLanes(const ExperimentSpec& spec, const std::string& dispatch) {
+  SchedulerConfig config;
+  config.dispatch = dispatch;
+  config.cache = false;
+  SweepScheduler scheduler(config);
+  const std::shared_ptr<SpecRun> run = scheduler.attach(spec, 0, spec.name);
+  for (int i = 0; i < run->taskCount(); ++i)
+    while (!run->waitRow(i, 1000))
+      if (run->failed()) throw Error(run->error());
+  return run->table();
 }
 
-/// Pushes the on-disk cache entry for `spec` to every live TCP worker of
-/// an already-connected dispatcher (warm-cache push; fork/exec workers
-/// share the coordinator's filesystem and are skipped inside
-/// pushCacheEntry).  Best-effort: an unreadable file is a silent no-op.
-void pushCacheEntryToWorkers(Dispatcher& dispatcher, const std::string& dir,
-                             const ExperimentSpec& spec) {
+/// Warm-cache push: dials every tcp endpoint once and sends the spec,
+/// the on-disk cache entry for it and Shutdown, so a remote fleet's
+/// caches hold every entry this coordinator has (fork/exec workers share
+/// its disk).  Best-effort: unreadable entries and unreachable workers
+/// are skipped.
+void pushCacheEntry(const std::vector<WorkerEndpoint>& endpoints,
+                    const std::string& dir, const ExperimentSpec& spec) {
+  if (std::none_of(endpoints.begin(), endpoints.end(), [](const auto& e) {
+        return e.kind == WorkerEndpoint::Kind::Tcp;
+      }))
+    return;
   std::ifstream in(cachePath(dir, spec), std::ios::binary);
   if (!in) return;
   std::ostringstream bytes;
   bytes << in.rdbuf();
-  const int sent =
-      dispatcher.pushCacheEntry(spec.name, specHash(spec), bytes.str());
+  const std::string specPayload = encodeSpec(spec);
+  const std::string push =
+      encodeCachePush(spec.name, specHash(spec), bytes.str());
+  ignoreSigpipe();
+  int sent = 0;
+  for (const WorkerEndpoint& endpoint : endpoints) {
+    if (endpoint.kind != WorkerEndpoint::Kind::Tcp) continue;
+    pid_t pid = -1;
+    const int fd = spawnWorker(endpoint, -1, pid);
+    if (fd < 0) continue;
+    if (writeMessage(fd, MsgType::Spec, specPayload) &&
+        writeMessage(fd, MsgType::CachePush, push) &&
+        writeMessage(fd, MsgType::Shutdown, ""))
+      ++sent;
+    ::close(fd);
+  }
   if (sent > 0)
     std::fprintf(stderr, "[engine] %s: pushed cache entry to %d worker%s\n",
                  spec.name.c_str(), sent, sent == 1 ? "" : "s");
@@ -130,14 +159,11 @@ int ExperimentEngine::workers() const {
 }
 
 bool ExperimentEngine::cacheEnabled() const {
-  return config_.cache && !cacheDisabledByEnv();
+  return resolveCacheEnabled(config_.cache);
 }
 
 std::string ExperimentEngine::cacheDir() const {
-  if (!config_.cacheDir.empty()) return config_.cacheDir;
-  if (const char* env = std::getenv("HAYAT_CACHE_DIR"))
-    if (*env) return env;
-  return "hayat_cache";
+  return resolveCacheDir(config_.cacheDir);
 }
 
 std::string ExperimentEngine::dispatchSpec() const {
@@ -252,17 +278,9 @@ SweepTable ExperimentEngine::run(const ExperimentSpec& spec) const {
       std::fprintf(stderr, "[engine] %s: loaded %zu runs from %s\n",
                    spec.name.c_str(), cached->runs.size(),
                    cachePath(cacheDir(), spec).c_str());
-      if (hasTcpEndpoint(endpoints)) {
-        // Warm-cache push: the local hit costs the remote fleet nothing,
-        // so spend a connection warming every TCP worker's cache — the
-        // entry this coordinator would otherwise recompute for them.
-        DispatchConfig dc;
-        dc.endpoints = endpoints;
-        Dispatcher dispatcher(dc);
-        if (dispatcher.connect(spec) > 0)
-          pushCacheEntryToWorkers(dispatcher, cacheDir(), spec);
-        dispatcher.shutdown();
-      }
+      // The local hit costs the remote fleet nothing, so spend a
+      // connection warming each tcp worker's cache with it.
+      pushCacheEntry(endpoints, cacheDir(), spec);
       if (telemetry::enabled()) recordSweepSeries(*cached);
       return *std::move(cached);
     }
@@ -274,29 +292,12 @@ SweepTable ExperimentEngine::run(const ExperimentSpec& spec) const {
         telemetry::Registry::global().counter("hayat_engine_tasks_total");
     expanded.add(tasks.size());
   }
+  // A fixed mix has no wire form, so such specs always run in-process.
+  const bool onLanes = !endpoints.empty() && !spec.lifetime.fixedMix;
   SweepTable table;
-
-  bool dispatched = false;
-  std::unique_ptr<Dispatcher> dispatcher;
-  if (!endpoints.empty() && !spec.lifetime.fixedMix.has_value()) {
-    // An unreachable fleet degrades to the in-process pool below.
-    DispatchConfig dc;
-    dc.endpoints = endpoints;
-    dc.localFallbackWorkers = workers();
-    dispatcher = std::make_unique<Dispatcher>(dc);
-    if (dispatcher->connect(spec) > 0) {
-      table.runs = dispatcher->run(spec, tasks);
-      dispatched = true;
-    } else {
-      std::fprintf(stderr,
-                   "[engine] %s: no workers reachable for '%s'; falling "
-                   "back to in-process threads\n",
-                   spec.name.c_str(), dispatch.c_str());
-      dispatcher.reset();
-    }
-  }
-  if (!dispatched) {
-    dispatcher.reset();
+  if (onLanes) {
+    table = runOnLanes(spec, dispatch);
+  } else {
     table.runs = parallelMap<RunResult>(
         static_cast<int>(tasks.size()), workers(), [&](int i) {
           return runTask(tasks[static_cast<std::size_t>(i)],
@@ -309,7 +310,7 @@ SweepTable ExperimentEngine::run(const ExperimentSpec& spec) const {
     // The workers that just computed the table get its cache entry back,
     // so a coordinator restart against the same fleet starts warm even
     // if this host's cache directory is lost.
-    if (dispatcher) pushCacheEntryToWorkers(*dispatcher, cacheDir(), spec);
+    if (onLanes) pushCacheEntry(endpoints, cacheDir(), spec);
     const std::uint64_t maxBytes = cacheMaxBytes();
     const double maxAge = cacheMaxAgeSeconds();
     if (maxBytes > 0 || maxAge >= 0.0) {

@@ -12,11 +12,15 @@
 // Execution is in-process by default; setting a dispatch spec (the
 // EngineConfig or HAYAT_DISPATCH) farms the tasks out to worker
 // *processes* instead — forked locally, exec'd hayat binaries, or remote
-// `hayat worker --listen` servers over TCP (dispatcher.hpp).  The merge
-// is by task index either way, so the table stays bit-identical to a
-// serial run for any topology, and the engine degrades back to the
-// thread pool when no workers are reachable.  The result cache is
-// consulted and written on the coordinator only; workers stay stateless.
+// `hayat worker --listen` servers over TCP.  run() then builds a
+// SweepScheduler (scheduler.hpp, the lane layer `hayat serve` also runs
+// on) with one lane per endpoint slot, attaches the spec and waits for
+// every row.  The merge is by task index either way, so the table stays
+// bit-identical to a serial run for any topology, and a lane whose
+// worker cannot be reached runs its tasks on its own thread.  The result
+// cache is consulted and written here on the coordinator only; tcp
+// workers get each entry pushed back (warm-cache push), fork/exec
+// workers share this host's disk.
 //
 // Environment knobs (all optional):
 //   HAYAT_WORKERS    — worker thread count (default: hardware concurrency)

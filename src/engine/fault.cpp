@@ -161,14 +161,15 @@ WriteFault nextWriteFault() {
   return WriteFault::None;
 }
 
-WorkerFaults workerFaultsFromEnv() {
+WorkerFaults workerFaultsFromEnv(int slot) {
   WorkerFaults out;
   const char* planText = std::getenv("HAYAT_FAULT_PLAN");
-  const char* slotText = std::getenv("HAYAT_FAULT_WORKER");
-  if (planText == nullptr || planText[0] == '\0' || slotText == nullptr ||
-      slotText[0] == '\0')
-    return out;
-  const int slot = static_cast<int>(std::strtol(slotText, nullptr, 10));
+  if (planText == nullptr || planText[0] == '\0') return out;
+  if (slot < 0) {
+    const char* slotText = std::getenv("HAYAT_FAULT_WORKER");
+    if (slotText == nullptr || slotText[0] == '\0') return out;
+    slot = static_cast<int>(std::strtol(slotText, nullptr, 10));
+  }
   FaultPlan plan;
   try {
     plan = parseFaultPlan(planText);

@@ -1,7 +1,7 @@
-// Deterministic fault injection for the dispatch wire layer.
+// Deterministic fault injection for the worker wire layer.
 //
-// Recovery paths (steal, re-steal, duplicate completion, corrupt push,
-// mid-steal worker death) must be exercised by name in tests, not by
+// Recovery paths (slow worker, dropped or corrupt frame, wedged worker,
+// worker death mid-sweep) must be exercised by name in tests, not by
 // racing real processes and hoping a crash lands in the right window.
 // HAYAT_FAULT_PLAN describes a schedule of faults in a tiny grammar:
 //
@@ -14,17 +14,17 @@
 // Rules are ';'-separated (`drop:frame=3;die:worker=2,after=5`).  Frame
 // ordinals are 1-based and count every frame the coordinator writes
 // after the plan is installed (Spec frames included), so a plan plus a
-// fixed topology names one exact frame.  Worker rules key on the slot
-// index the dispatcher assigns at spawn time (exported to the child as
-// HAYAT_FAULT_WORKER), so "worker 2" means the same process on every
-// run.
+// fixed topology names one exact frame.  Worker rules key on the lane
+// index the scheduler spawns the worker for (scheduler.hpp; exported to
+// exec'd children as HAYAT_FAULT_WORKER), so "worker 2" means the same
+// lane on every run.
 //
 // The coordinator side hooks writeMessage() at the transport boundary:
 // a dropped frame is reported as written but never hits the socket (the
 // peer sees silence, exactly like a lost packet), a corrupted frame
 // keeps valid framing but flips payload bytes (the peer sees a decode
 // error, exactly like bit rot).  Worker-side rules are read by
-// runWorkerLoop() from the environment; forked children clear any
+// runWorkerLoop() from the environment; forked children disarm any
 // inherited coordinator-side state so a plan never double-fires.
 #pragma once
 
@@ -38,7 +38,7 @@ struct FaultRule {
   enum class Kind { Drop, Corrupt, Delay, Die, Stall };
   Kind kind = Kind::Drop;
   long frame = 0;   ///< Drop/Corrupt: 1-based outbound frame ordinal
-  int worker = -1;  ///< Delay/Die/Stall: dispatcher slot index
+  int worker = -1;  ///< Delay/Die/Stall: scheduler lane index
   long ms = 0;      ///< Delay: sleep duration
   long after = 0;   ///< Die/Stall: Results served before the fault fires
 };
@@ -68,28 +68,34 @@ inline bool faultsInstalled() {
 /// are ignored here (workers read them from the environment).
 void installCoordinatorFaults(const FaultPlan& plan);
 
-/// Removes any installed plan (forked workers call this so inherited
-/// coordinator state never fires twice; dispatcher teardown calls it so
-/// one test's plan cannot leak into the next).
+/// Removes any installed plan (scheduler teardown calls it so one test's
+/// plan cannot leak into the next).
 void clearCoordinatorFaults();
+
+/// Lock-free half of clearCoordinatorFaults() for a forked worker: the
+/// inherited rules stop firing without touching the fault mutex, which
+/// another coordinator thread may have held at fork time.
+inline void disarmCoordinatorFaults() {
+  detail::gFaultsInstalled.store(false, std::memory_order_relaxed);
+}
 
 /// The action writeMessage() must take for the frame it is about to
 /// write.  Counts one outbound frame per call.
 enum class WriteFault { None, Drop, Corrupt };
 WriteFault nextWriteFault();
 
-/// Worker-side view of the plan: the rules addressed to this process's
-/// slot (HAYAT_FAULT_WORKER), read from HAYAT_FAULT_PLAN.  A malformed
-/// plan is ignored here — the coordinator already failed loudly.
+/// Worker-side view of the plan: the rules addressed to `slot` (< 0:
+/// this process's HAYAT_FAULT_WORKER), read from HAYAT_FAULT_PLAN.  A
+/// malformed plan is ignored here — the coordinator already failed
+/// loudly.
 struct WorkerFaults {
   long delayMs = 0;     ///< sleep before each Result write (0: none)
   long dieAfter = -1;   ///< _exit(43) after this many Results (-1: never)
   long stallAfter = -1; ///< hang before serving the next task (-1: never)
 };
-WorkerFaults workerFaultsFromEnv();
+WorkerFaults workerFaultsFromEnv(int slot = -1);
 
-/// Exit code a `die:` rule uses, distinct from real crashes (42 in the
-/// legacy HAYAT_WORKER_EXIT_AFTER hook) and decode failures (1).
+/// Exit code a `die:` rule uses, distinct from decode failures (1).
 inline constexpr int kFaultDeathExitCode = 43;
 
 }  // namespace hayat::engine

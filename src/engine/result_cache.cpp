@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -136,6 +137,18 @@ bool readRunResultImpl(std::istream& in, RunResult& r) {
 }
 
 }  // namespace
+
+std::string resolveCacheDir(const std::string& configured) {
+  if (!configured.empty()) return configured;
+  if (const char* env = std::getenv("HAYAT_CACHE_DIR"))
+    if (*env) return env;
+  return "hayat_cache";
+}
+
+bool resolveCacheEnabled(bool configured) {
+  return configured && std::getenv("HAYAT_NO_CACHE") == nullptr &&
+         std::getenv("HAYAT_NO_SWEEP_CACHE") == nullptr;
+}
 
 void writeRunResult(std::ostream& out, const RunResult& r) {
   out << "run," << r.chip << ',' << r.repetition << ','

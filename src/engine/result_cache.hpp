@@ -11,7 +11,9 @@
 //
 // The cache directory defaults to `hayat_cache/` relative to the working
 // directory (i.e. under build/ for the usual cmake workflow) and is
-// overridden by HAYAT_CACHE_DIR.
+// overridden by HAYAT_CACHE_DIR; HAYAT_NO_CACHE (or its legacy alias
+// HAYAT_NO_SWEEP_CACHE) turns the cache off.  resolveCacheDir() and
+// resolveCacheEnabled() are the only readers of those three variables.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +43,14 @@ void writeRunResult(std::ostream& out, const RunResult& result);
 /// Reads one record written by writeRunResult; returns false on any
 /// malformed input (and may leave `result` partially filled).
 bool readRunResult(std::istream& in, RunResult& result);
+
+/// The cache directory: `configured` when non-empty, else
+/// HAYAT_CACHE_DIR, else "hayat_cache".
+std::string resolveCacheDir(const std::string& configured = "");
+
+/// `configured`, forced off when HAYAT_NO_CACHE or HAYAT_NO_SWEEP_CACHE
+/// is set.
+bool resolveCacheEnabled(bool configured = true);
 
 /// Cache file path for a spec inside `dir`.
 std::string cachePath(const std::string& dir, const ExperimentSpec& spec);

@@ -1,11 +1,13 @@
 // Coordinator <-> worker wire protocol.
 //
 // Distributed sweeps ship three kinds of payloads between the
-// coordinator (dispatcher.hpp) and worker processes (worker_proc.hpp):
-// the ExperimentSpec (once per connection), task assignments (just the
-// task index — workers re-expand the spec deterministically, so the spec
-// hash is the complete work-partitioning key), and RunResults.  Every
-// message is length-prefixed:
+// coordinator's scheduler lanes (scheduler.hpp) and worker processes
+// (worker_proc.hpp): the ExperimentSpec (once per spec and connection),
+// task assignments (just the task index — workers re-expand the spec
+// deterministically, so the spec hash is the complete work-partitioning
+// key), and RunResults.  A lane sends one Task and waits for its Result
+// or TaskError before the next; telemetry and warm-cache frames ride the
+// same framing.  Every message is length-prefixed:
 //
 //   'H' 'W' <version:u8> <type:u8> <payloadLength:u32 big-endian> <payload>
 //

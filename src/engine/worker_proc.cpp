@@ -14,10 +14,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include "common/error.hpp"
 #include "engine/builtin_policies.hpp"
 #include "engine/engine.hpp"
 #include "engine/fault.hpp"
@@ -31,32 +33,13 @@ namespace hayat::engine {
 
 namespace {
 
-long envLong(const char* name, long fallback) {
-  const char* value = std::getenv(name);
-  return (value && *value) ? std::atol(value) : fallback;
-}
-
-/// Worker writes race coordinator deaths; losing that race must be an
-/// EPIPE error, not a fatal SIGPIPE.
-void ignoreSigpipe() {
-  struct sigaction sa;
-  if (::sigaction(SIGPIPE, nullptr, &sa) == 0 && sa.sa_handler == SIG_DFL) {
-    sa.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &sa, nullptr);
-  }
-}
-
-/// Cache directory this worker stores pushed entries into — the same
-/// resolution the coordinator-side engine uses.
-std::string workerCacheDir() {
-  if (const char* env = std::getenv("HAYAT_CACHE_DIR"))
-    if (*env) return env;
-  return "hayat_cache";
-}
-
-bool workerCacheDisabled() {
-  return std::getenv("HAYAT_NO_CACHE") != nullptr ||
-         std::getenv("HAYAT_NO_SWEEP_CACHE") != nullptr;
+int parsePositiveInt(const std::string& text, const char* what) {
+  char* end = nullptr;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  HAYAT_REQUIRE(end == text.c_str() + text.size() && !text.empty() &&
+                    value >= 1,
+                std::string("worker spec: bad ") + what + " '" + text + "'");
+  return static_cast<int>(value);
 }
 
 void countWorker(const char* name) {
@@ -78,11 +61,11 @@ void handleCachePush(const std::string& payload) {
     countWorker("hayat_worker_cache_push_rejected_total");
     return;
   }
-  if (workerCacheDisabled()) {
+  if (!resolveCacheEnabled()) {
     countWorker("hayat_worker_cache_push_rejected_total");
     return;
   }
-  if (storePushedCacheEntry(workerCacheDir(), name, hash, fileBytes)) {
+  if (storePushedCacheEntry(resolveCacheDir(), name, hash, fileBytes)) {
     countWorker("hayat_worker_cache_push_stored_total");
   } else {
     countWorker("hayat_worker_cache_push_rejected_total");
@@ -177,7 +160,7 @@ std::string workerMetricsHttpResponse(const std::string& target) {
   return workerHttpResponse(200, body.str());
 }
 
-int runWorkerLoop(int inFd, int outFd) {
+int runWorkerLoop(int inFd, int outFd, int faultSlot) {
   ignoreSigpipe();
   registerBuiltinPolicies();
 
@@ -209,15 +192,7 @@ int runWorkerLoop(int inFd, int outFd) {
   if (!readMessage(inFd, msg) || msg.type != MsgType::Spec) return 1;
   if (!addSpec(msg.payload)) return 1;
 
-  // Fault injection, two vintages: the legacy single-purpose envs and
-  // the HAYAT_FAULT_PLAN grammar (fault.hpp); legacy wins where both
-  // address the same behavior so old tests keep their exit codes.
-  const WorkerFaults faults = workerFaultsFromEnv();
-  const long exitAfter = envLong("HAYAT_WORKER_EXIT_AFTER", -1);
-  const long dieAfter = faults.dieAfter;
-  const long stallAfter =
-      envLong("HAYAT_WORKER_STALL_AFTER", faults.stallAfter);
-  const long delayMs = faults.delayMs;
+  const WorkerFaults faults = workerFaultsFromEnv(faultSlot);
   long served = 0;
 
   // Metric values already reported to the coordinator; Result frames
@@ -268,7 +243,7 @@ int runWorkerLoop(int inFd, int outFd) {
     }
     const ServedSpec& serving = servedIt->second;
 
-    if (stallAfter >= 0 && served >= stallAfter) {
+    if (faults.stallAfter >= 0 && served >= faults.stallAfter) {
       // Fault injection: a wedged worker.  The coordinator's per-task
       // timeout must kill and replace us.
       for (;;) ::pause();
@@ -292,8 +267,9 @@ int runWorkerLoop(int inFd, int outFd) {
         metrics = telemetry::encodeCounterDeltas(reported) +
                   telemetry::encodeHistogramDeltas(reportedHists);
       }
-      if (delayMs > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
+      if (faults.delayMs > 0)
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(faults.delayMs));
       if (!writeMessage(outFd, MsgType::Result,
                         encodeResult(index, result, metrics)))
         return 1;
@@ -304,65 +280,127 @@ int runWorkerLoop(int inFd, int outFd) {
     }
 
     ++served;
-    if (exitAfter >= 0 && served >= exitAfter)
-      ::_exit(42);  // fault injection: a crashing worker (legacy hook)
-    if (dieAfter >= 0 && served >= dieAfter)
+    if (faults.dieAfter >= 0 && served >= faults.dieAfter)
       ::_exit(kFaultDeathExitCode);  // fault injection: die:worker=...
   }
   return 0;  // coordinator hung up
 }
 
-pid_t spawnForkWorker(int& fd, const std::vector<int>& closeInChild,
-                      int slot) {
-  int sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
-    return -1;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(sv[0]);
-    ::close(sv[1]);
-    return -1;
+std::vector<WorkerEndpoint> parseWorkerSpec(const std::string& text) {
+  std::vector<WorkerEndpoint> endpoints;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t comma = text.find(',', start);
+    const std::string item =
+        text.substr(start, comma == std::string::npos ? std::string::npos
+                                                      : comma - start);
+    start = comma == std::string::npos ? text.size() + 1 : comma + 1;
+    if (item.empty()) continue;
+
+    WorkerEndpoint ep;
+    if (item == "proc" || item.rfind("proc:", 0) == 0) {
+      ep.kind = WorkerEndpoint::Kind::Fork;
+      ep.count =
+          item == "proc" ? 1 : parsePositiveInt(item.substr(5), "count");
+    } else if (item == "exec" || item.rfind("exec:", 0) == 0) {
+      ep.kind = WorkerEndpoint::Kind::Exec;
+      ep.count =
+          item == "exec" ? 1 : parsePositiveInt(item.substr(5), "count");
+    } else if (item.rfind("tcp:", 0) == 0) {
+      ep.kind = WorkerEndpoint::Kind::Tcp;
+      const std::string rest = item.substr(4);
+      const std::size_t colon = rest.rfind(':');
+      HAYAT_REQUIRE(colon != std::string::npos && colon > 0,
+                    "worker spec: tcp endpoint needs host:port, got '" +
+                        item + "'");
+      ep.host = rest.substr(0, colon);
+      ep.port = parsePositiveInt(rest.substr(colon + 1), "port");
+      HAYAT_REQUIRE(ep.port <= 65535,
+                    "worker spec: port out of range in '" + item + "'");
+    } else {
+      throw Error("worker spec: unknown endpoint '" + item +
+                  "' (expected proc:N, exec:N, or tcp:host:port)");
+    }
+    endpoints.push_back(std::move(ep));
   }
-  if (pid == 0) {
-    ::close(sv[0]);
-    for (const int other : closeInChild) ::close(other);
-    // The child inherited the coordinator's installed fault plan; only
-    // the write-side coordinator rules must not fire here, the
-    // worker-side rules are re-read from the environment.
-    clearCoordinatorFaults();
-    if (slot >= 0)
-      ::setenv("HAYAT_FAULT_WORKER", std::to_string(slot).c_str(), 1);
-    ::_exit(runWorkerLoop(sv[1], sv[1]));
-  }
-  ::close(sv[1]);
-  fd = sv[0];
-  return pid;
+  HAYAT_REQUIRE(!endpoints.empty(), "worker spec: no endpoints in '" + text +
+                                        "'");
+  return endpoints;
 }
 
-pid_t spawnExecWorker(const std::string& binary, int& fd, int slot) {
+void ignoreSigpipe() {
+  struct sigaction sa;
+  if (::sigaction(SIGPIPE, nullptr, &sa) == 0 && sa.sa_handler == SIG_DFL) {
+    sa.sa_handler = SIG_IGN;
+    ::sigaction(SIGPIPE, &sa, nullptr);
+  }
+}
+
+int spawnWorker(const WorkerEndpoint& endpoint, int slot, pid_t& pid) {
+  pid = -1;
+  if (endpoint.kind == WorkerEndpoint::Kind::Tcp)
+    return connectTcpWorker(endpoint.host, endpoint.port, 2000);
+
+  // An exec'd child's argv and environment are built before fork(): until
+  // it execs, the child of a threaded process makes only
+  // async-signal-safe calls.  A forked child runs the worker loop on the
+  // inherited image, which is safe because glibc's allocator, the
+  // telemetry mutexes and the shared start-up caches' mutexes
+  // (installForkHandlers) are held across fork().
+  const bool exec = endpoint.kind == WorkerEndpoint::Kind::Exec;
+  std::string binary = "hayat";
+  if (const char* bin = std::getenv("HAYAT_WORKER_BIN"))
+    if (*bin) binary = bin;
+  const std::string execError = "[worker] cannot exec '" + binary + "'\n";
+  std::string worker = "worker", stdio = "--stdio";
+  char* argv[] = {binary.data(), worker.data(), stdio.data(), nullptr};
+  std::vector<std::string> env;
+  std::vector<char*> envp;
+  if (exec) {
+    constexpr const char kSlotVar[] = "HAYAT_FAULT_WORKER=";
+    for (char** e = environ; *e != nullptr; ++e)
+      if (std::strncmp(*e, kSlotVar, sizeof(kSlotVar) - 1) != 0)
+        env.emplace_back(*e);
+    if (slot >= 0) env.push_back(kSlotVar + std::to_string(slot));
+    for (std::string& e : env) envp.push_back(e.data());
+    envp.push_back(nullptr);
+  }
+
+  telemetry::installForkHandlers();
+  static std::mutex spawnMutex;
+  const std::scoped_lock lock(spawnMutex);
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
     return -1;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
+  const pid_t child = ::fork();
+  if (child < 0) {
     ::close(sv[0]);
     ::close(sv[1]);
     return -1;
   }
-  if (pid == 0) {
-    // dup2 clears CLOEXEC, so exactly stdin/stdout survive the exec.
-    ::dup2(sv[1], STDIN_FILENO);
-    ::dup2(sv[1], STDOUT_FILENO);
-    if (slot >= 0)
-      ::setenv("HAYAT_FAULT_WORKER", std::to_string(slot).c_str(), 1);
-    ::execlp(binary.c_str(), binary.c_str(), "worker", "--stdio",
-             static_cast<char*>(nullptr));
-    std::fprintf(stderr, "[worker] cannot exec '%s'\n", binary.c_str());
-    ::_exit(127);
+  if (child == 0) {
+    // Keep stdio and the worker socket (stdin/stdout for exec, fd 3 for
+    // fork); dup2 clears CLOEXEC on the copies.
+    const int keepBelow = exec ? STDERR_FILENO + 1 : 4;
+    if (exec) {
+      ::dup2(sv[1], STDIN_FILENO);
+      ::dup2(sv[1], STDOUT_FILENO);
+    } else {
+      ::dup2(sv[1], 3);
+    }
+    if (::close_range(static_cast<unsigned>(keepBelow), ~0U, 0) != 0)
+      for (int fd = keepBelow; fd < 1024; ++fd) ::close(fd);
+    if (exec) {
+      ::execvpe(argv[0], argv, envp.data());
+      (void)!::write(STDERR_FILENO, execError.data(), execError.size());
+      ::_exit(127);
+    }
+    disarmCoordinatorFaults();
+    ::_exit(runWorkerLoop(3, 3, slot));
   }
   ::close(sv[1]);
-  fd = sv[0];
-  return pid;
+  pid = child;
+  return sv[0];
 }
 
 int serveWorkerOnListenSocket(int listenFd) {

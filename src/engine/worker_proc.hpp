@@ -9,12 +9,13 @@
 // has into each remote worker's cache directory, so a restarted fleet
 // does not recompute sweeps its coordinator can answer from disk.
 //
-// Three transports, all speaking the same wire protocol (wire.hpp):
-//   - fork:  spawnForkWorker() forks the current process; the child runs
-//            runWorkerLoop() over a socketpair.  Used by `--workers=proc:N`.
-//   - exec:  spawnExecWorker() fork/execs a `hayat worker --stdio`
-//            process.  Used by `--workers=exec:N` (HAYAT_WORKER_BIN
-//            selects the binary, default "hayat" from PATH).
+// Three transports, all speaking the same wire protocol (wire.hpp) and
+// all started by spawnWorker():
+//   - fork:  forks the current process; the child runs runWorkerLoop()
+//            over a socketpair.  Used by `--workers=proc:N`.
+//   - exec:  fork/execs a `hayat worker --stdio` process.  Used by
+//            `--workers=exec:N` (HAYAT_WORKER_BIN selects the binary,
+//            default "hayat" from PATH).
 //   - tcp:   `hayat worker --listen PORT` serves coordinators that dial
 //            in with `--workers=tcp:host:port`.  The same listen socket
 //            doubles as a plain-HTTP endpoint: a connection that opens
@@ -23,13 +24,10 @@
 //            methods) and closed — `curl host:port/metrics`
 //            scrapes a live worker with no extra port.
 //
-// Test hooks (fault injection for the crash-recovery tests; unset in
-// normal operation):
-//   HAYAT_WORKER_EXIT_AFTER=N   _exit(42) after serving N results
-//   HAYAT_WORKER_STALL_AFTER=N  hang forever instead of serving task N+1
-//   HAYAT_FAULT_PLAN + HAYAT_FAULT_WORKER  the richer schedule grammar
-//     (fault.hpp): delay:worker=W,ms=M / die:worker=W,after=K /
-//     stall:worker=W,after=K address the worker spawned into slot W.
+// Fault injection for the crash-recovery tests (unset in normal
+// operation): HAYAT_FAULT_PLAN's worker rules (fault.hpp) —
+// delay:worker=W,ms=M / die:worker=W,after=K / stall:worker=W,after=K —
+// address the worker spawned into slot W.
 #pragma once
 
 #include <sys/types.h>
@@ -39,25 +37,48 @@
 
 namespace hayat::engine {
 
+/// One entry of a `--workers=` / HAYAT_DISPATCH list.
+struct WorkerEndpoint {
+  enum class Kind {
+    Fork,  ///< proc:N — fork this process, child serves tasks in-image
+    Exec,  ///< exec:N — fork/exec `hayat worker --stdio` (HAYAT_WORKER_BIN)
+    Tcp,   ///< tcp:host:port — dial a `hayat worker --listen` server
+  };
+  Kind kind = Kind::Fork;
+  int count = 1;       ///< Fork/Exec: processes to spawn
+  std::string host;    ///< Tcp
+  int port = 0;        ///< Tcp
+};
+
+/// Parses a comma-separated endpoint list: "proc:4", "exec:2",
+/// "tcp:host:port", "proc:2,tcp:10.0.0.5:7707".  Throws hayat::Error on
+/// malformed input.
+std::vector<WorkerEndpoint> parseWorkerSpec(const std::string& text);
+
 /// Serves one coordinator connection: reads the Spec, then loops over
 /// Task messages until Shutdown or EOF.  Returns a process exit code.
-int runWorkerLoop(int inFd, int outFd);
+/// `faultSlot` is this worker's fault-plan slot; < 0 reads it from
+/// HAYAT_FAULT_WORKER.
+int runWorkerLoop(int inFd, int outFd, int faultSlot = -1);
 
-/// Forks a worker child running runWorkerLoop over a socketpair; the
-/// child closes every fd in `closeInChild` first (sibling workers'
-/// sockets, so their EOFs stay observable) and clears any inherited
-/// coordinator-side fault plan.  `slot >= 0` is exported to the child as
-/// HAYAT_FAULT_WORKER so worker-addressed fault rules find it.  Returns
-/// the child pid and stores the coordinator-side fd, or returns -1.
-pid_t spawnForkWorker(int& fd, const std::vector<int>& closeInChild = {},
-                      int slot = -1);
+/// Starts the worker behind one endpoint slot (its count is ignored):
+/// forks (Fork), fork/execs HAYAT_WORKER_BIN (Exec) or dials with a 2 s
+/// timeout (Tcp).  Returns the coordinator-side fd, or -1 when the
+/// worker cannot be started; `pid` receives the child (-1 for Tcp).
+///
+/// Fork-safe under threads: spawns are serialized process-wide, the
+/// telemetry and shared start-up cache mutexes are held across fork()
+/// (telemetry::installForkHandlers), and
+/// the child closes every inherited descriptor but stdio and its own
+/// socket, so no worker keeps a sibling's socket (or a server's listen
+/// socket) open.  `slot >= 0` is the child's fault-plan slot, exported
+/// to exec'd children as HAYAT_FAULT_WORKER; a forked child also drops
+/// the coordinator-side fault rules it inherited.
+int spawnWorker(const WorkerEndpoint& endpoint, int slot, pid_t& pid);
 
-/// Fork/execs `binary worker --stdio` with the socketpair on its
-/// stdin/stdout (HAYAT_FAULT_WORKER=slot in its environment when
-/// `slot >= 0`).  Returns the child pid and stores the coordinator-side
-/// fd, or returns -1 (a missing binary surfaces as an immediate child
-/// exit, i.e. a worker death).
-pid_t spawnExecWorker(const std::string& binary, int& fd, int slot = -1);
+/// Ignores SIGPIPE if it is still at its default, so a write racing a
+/// peer's death is an EPIPE error instead of a fatal signal.
+void ignoreSigpipe();
 
 /// Serves connections one at a time on an already-listening socket (used
 /// by the TCP worker and the tests): wire-protocol coordinators run the

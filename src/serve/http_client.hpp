@@ -6,7 +6,7 @@
 // hands each chunk to a callback as it arrives — the transport under
 // `hayat job watch`, which tails a running job's result rows (the server
 // frames exactly one result row per chunk).  Reuses the worker dialer
-// (connectTcpWorker) so timeouts behave identically to the dispatcher's.
+// (connectTcpWorker) so timeouts behave identically to the scheduler's.
 #pragma once
 
 #include <functional>

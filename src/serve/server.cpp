@@ -78,13 +78,13 @@ std::string queryValue(const HttpRequest& req, const std::string& key) {
 
 ServeServer::ServeServer(ServeConfig config)
     : config_(config), queue_(config.queueDir, config.limits) {
-  SchedulerConfig sched;
+  engine::SchedulerConfig sched;
   sched.dispatch = config_.dispatch;
   sched.localWorkers = config_.localWorkers;
   sched.cache = config_.cache;
   sched.cacheDir = config_.cacheDir;
   sched.taskTimeoutSeconds = config_.taskTimeoutSeconds;
-  scheduler_ = std::make_unique<SweepScheduler>(sched);
+  scheduler_ = std::make_unique<engine::SweepScheduler>(sched);
 }
 
 ServeServer::~ServeServer() { stop(); }
@@ -504,7 +504,7 @@ void ServeServer::streamResults(const std::string& id, int fd) {
   // daemon incarnation): attach a stream-scoped reference — normally an
   // instant result-cache hit, and a deterministic recompute when the
   // cache was evicted.  Either way the bytes are identical.
-  std::shared_ptr<SpecRun> run;
+  std::shared_ptr<engine::SpecRun> run;
   std::string streamJobId;
   {
     std::lock_guard<std::mutex> lock(runningMutex_);

@@ -17,10 +17,10 @@
 //
 // Jobs are journaled by the durable JobQueue before they are
 // acknowledged, admitted by a background pump that bounds concurrently
-// running jobs, and executed by the shared SweepScheduler — so two
-// clients submitting the same spec share one computation and one result
-// cache, and a SIGKILLed daemon replays its queue directory on restart
-// and converges to byte-identical results.
+// running jobs, and executed by one shared SweepScheduler
+// (engine/scheduler.hpp) — so two clients submitting the same spec share
+// one computation and one result cache, and a SIGKILLed daemon replays
+// its queue directory on restart and converges to byte-identical results.
 //
 // The results stream is the canonical writeRunResult records of tasks
 // 0..n-1 in order: its concatenation is byte-identical to a one-shot
@@ -39,9 +39,9 @@
 #include <string>
 #include <thread>
 
+#include "engine/scheduler.hpp"
 #include "serve/http.hpp"
 #include "serve/job_queue.hpp"
-#include "serve/scheduler.hpp"
 
 namespace hayat::serve {
 
@@ -86,11 +86,11 @@ class ServeServer {
   void stop();
 
   JobQueue& queue() { return queue_; }
-  SweepScheduler& scheduler() { return *scheduler_; }
+  engine::SweepScheduler& scheduler() { return *scheduler_; }
 
  private:
   struct RunningJob {
-    std::shared_ptr<SpecRun> run;
+    std::shared_ptr<engine::SpecRun> run;
     std::chrono::steady_clock::time_point started;
   };
   struct Conn {
@@ -110,7 +110,7 @@ class ServeServer {
 
   ServeConfig config_;
   JobQueue queue_;
-  std::unique_ptr<SweepScheduler> scheduler_;
+  std::unique_ptr<engine::SweepScheduler> scheduler_;
 
   int listenFd_ = -1;
   int port_ = 0;

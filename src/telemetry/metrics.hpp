@@ -1,7 +1,7 @@
 // Process-wide metrics registry: counters, gauges, histograms.
 //
 // The observability substrate for everything from EpochSimulator windows
-// to dispatcher wire RPCs.  Design constraints, in order:
+// to scheduler wire RPCs.  Design constraints, in order:
 //
 //   1. Disabled must be (almost) free.  Every instrumentation site guards
 //      on `telemetry::enabled()`, a relaxed load of one process-wide
@@ -140,6 +140,10 @@ class Registry {
   /// Zeroes every metric (objects and references stay valid).  Tests
   /// only; production code never resets.
   void resetAllForTest();
+
+  /// Hold the lookup mutex across fork() (installForkHandlers).
+  void lockForFork() const { mutex_.lock(); }
+  void unlockAfterFork() const { mutex_.unlock(); }
 
  private:
   mutable std::mutex mutex_;

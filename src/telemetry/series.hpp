@@ -66,6 +66,10 @@ class EpochSeries {
   std::size_t size() const;
   void clear();
 
+  /// Hold the append mutex across fork() (installForkHandlers).
+  void lockForFork() const { mutex_.lock(); }
+  void unlockAfterFork() const { mutex_.unlock(); }
+
  private:
   mutable std::mutex mutex_;
   std::vector<EpochRow> rows_;

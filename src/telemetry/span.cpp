@@ -97,6 +97,18 @@ std::vector<SpanEvent> collectAllSpans() {
   return all;
 }
 
+void lockSpansForFork() {
+  RecorderDirectory& dir = directory();
+  dir.mutex.lock();
+  for (const auto& r : dir.recorders) r->mutex_.lock();
+}
+
+void unlockSpansAfterFork() {
+  RecorderDirectory& dir = directory();
+  for (const auto& r : dir.recorders) r->mutex_.unlock();
+  dir.mutex.unlock();
+}
+
 namespace {
 std::atomic<std::uint32_t> g_spanSampleEvery{1};
 }  // namespace

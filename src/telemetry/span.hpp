@@ -65,6 +65,9 @@ class FlightRecorder {
   std::size_t capacity() const { return ring_.size(); }
 
  private:
+  friend void lockSpansForFork();
+  friend void unlockSpansAfterFork();
+
   mutable std::mutex mutex_;
   std::vector<SpanEvent> ring_;
   std::size_t next_ = 0;
@@ -77,6 +80,11 @@ FlightRecorder& threadRecorder();
 
 /// Merged snapshot of every thread's ring, sorted by start time.
 std::vector<SpanEvent> collectAllSpans();
+
+/// Take (and release) the recorder directory and every recorder's mutex,
+/// directory first — the span part of installForkHandlers.
+void lockSpansForFork();
+void unlockSpansAfterFork();
 
 /// Scoped span: records [construction, destruction) into the calling
 /// thread's flight recorder when telemetry is enabled.

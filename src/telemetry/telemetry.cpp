@@ -1,5 +1,6 @@
 #include "telemetry/telemetry.hpp"
 
+#include <pthread.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -11,7 +12,6 @@
 
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/span.hpp"
 #include "telemetry/series.hpp"
 #include "telemetry/span.hpp"
 
@@ -56,7 +56,50 @@ void atexitFlush() { flush(); }
   std::abort();
 }
 
+/// The holdAcrossFork() mutexes, guarded by their own mutex.
+struct ForkHeldMutexes {
+  std::mutex mutex;
+  std::vector<std::mutex*> held;
+};
+
+ForkHeldMutexes& forkHeld() {
+  static ForkHeldMutexes* f = new ForkHeldMutexes();  // never destroyed
+  return *f;
+}
+
+void lockAllForFork() {
+  ForkHeldMutexes& f = forkHeld();
+  f.mutex.lock();
+  for (std::mutex* m : f.held) m->lock();
+  Registry::global().lockForFork();
+  state().mutex.lock();
+  lockSpansForFork();
+  EpochSeries::global().lockForFork();
+}
+
+void unlockAllAfterFork() {
+  EpochSeries::global().unlockAfterFork();
+  unlockSpansAfterFork();
+  state().mutex.unlock();
+  Registry::global().unlockAfterFork();
+  ForkHeldMutexes& f = forkHeld();
+  for (auto it = f.held.rbegin(); it != f.held.rend(); ++it) (*it)->unlock();
+  f.mutex.unlock();
+}
+
 }  // namespace
+
+void installForkHandlers() {
+  static const int registered =
+      ::pthread_atfork(lockAllForFork, unlockAllAfterFork, unlockAllAfterFork);
+  (void)registered;
+}
+
+void holdAcrossFork(std::mutex& mutex) {
+  ForkHeldMutexes& f = forkHeld();
+  const std::scoped_lock lock(f.mutex);
+  f.held.push_back(&mutex);
+}
 
 void configure(const std::string& dir, const std::string& role) {
   std::error_code ec;

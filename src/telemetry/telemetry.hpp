@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,6 +73,21 @@ std::vector<HistogramSnapshot> workerHistograms();
 
 /// Clears the worker counter and histogram aggregates (tests).
 void resetWorkerCountersForTest();
+
+/// Registers, once per process, pthread_atfork handlers that hold every
+/// telemetry mutex across fork() — the mutexes added by holdAcrossFork(),
+/// then the metric registry, this runtime state, the span recorders and
+/// the epoch series, always in that order — so a child forked while
+/// another thread looks up a counter or fills a shared cache never
+/// inherits a locked mutex.  Worker spawning (worker_proc.hpp) calls it
+/// before its first fork.
+void installForkHandlers();
+
+/// Adds a process-wide mutex a forked worker may take (the System
+/// start-up caches) to those installForkHandlers() holds across fork().
+/// It must never be taken while a telemetry mutex is held, nor nest
+/// with another added mutex.
+void holdAcrossFork(std::mutex& mutex);
 
 /// Writes the three export files now.  Returns false if any file could
 /// not be written.  Called automatically at exit once configured;

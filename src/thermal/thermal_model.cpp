@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace hayat {
 
@@ -39,8 +40,11 @@ struct SharedTransientCache {
 };
 
 SharedTransientCache& sharedTransientCache() {
-  static SharedTransientCache* cache =
-      new SharedTransientCache();  // never destroyed
+  static SharedTransientCache* cache = [] {
+    auto* c = new SharedTransientCache();  // never destroyed
+    telemetry::holdAcrossFork(c->mutex);   // forked workers read it
+    return c;
+  }();
   return *cache;
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "telemetry/telemetry.hpp"
 #include "variation/spatial_field.hpp"
 
 namespace hayat {
@@ -72,8 +73,11 @@ struct SharedSamplerCache {
 };
 
 SharedSamplerCache& sharedSamplerCache() {
-  static SharedSamplerCache* cache =
-      new SharedSamplerCache();  // never destroyed
+  static SharedSamplerCache* cache = [] {
+    auto* c = new SharedSamplerCache();   // never destroyed
+    telemetry::holdAcrossFork(c->mutex);  // forked workers read it
+    return c;
+  }();
   return *cache;
 }
 

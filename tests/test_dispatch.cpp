@@ -4,9 +4,10 @@
 // The contract under test is the strong one from engine.hpp: the merged
 // SweepTable is *bit-identical* to a serial in-process run for any worker
 // topology (forked processes, exec'd binaries, TCP workers), and the
-// dispatcher survives its fleet — worker crashes, wedged workers, and an
-// entirely unreachable fleet all degrade without changing a byte of the
-// result.
+// scheduler's lanes survive their fleet — worker crashes, wedged workers,
+// out-of-protocol answers, and an entirely unreachable fleet all degrade
+// without changing a byte of the result.  Recovery is observed through
+// the scheduler's hayat_serve_lane_* / hayat_serve_tasks_* counters.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -14,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <csignal>
@@ -26,19 +28,23 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "engine/dispatcher.hpp"
+#include "core/system.hpp"
 #include "engine/engine.hpp"
 #include "engine/fault.hpp"
 #include "engine/result_cache.hpp"
+#include "engine/scheduler.hpp"
 #include "engine/wire.hpp"
 #include "engine/worker_proc.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/span.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/application.hpp"
 
 namespace hayat::engine {
 namespace {
 
-/// Sets an environment variable for the lifetime of the guard (the fault
-/// hooks and HAYAT_WORKER_BIN must not leak between tests).
+/// Sets an environment variable for the lifetime of the guard (fault
+/// plans and HAYAT_WORKER_BIN must not leak between tests).
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const std::string& value) : name_(name) {
@@ -91,6 +97,53 @@ SweepTable runDispatched(const ExperimentSpec& spec,
   config.dispatch = dispatch;
   return ExperimentEngine(config).run(spec);
 }
+
+/// Runs `spec` on a scheduler of its own (cache off) — for the knobs the
+/// engine does not expose: task timeout and respawn budget.
+SweepTable runOnScheduler(const ExperimentSpec& spec,
+                          SchedulerConfig config) {
+  config.cache = false;
+  SweepScheduler scheduler(config);
+  const std::shared_ptr<SpecRun> run = scheduler.attach(spec, 0, "test");
+  for (int i = 0; i < run->taskCount(); ++i)
+    EXPECT_TRUE(run->waitRow(i, 120000).has_value()) << "row " << i;
+  return run->table();
+}
+
+/// Task timeout for the tests whose lanes respawn workers while other
+/// lanes run tasks locally.  Under ASan, whose allocator installs no fork
+/// handlers, such a respawned child can hang inside ASan; the timeout
+/// bounds that stall (tasks here take milliseconds).
+constexpr double kRespawnTestTimeoutSeconds = 10.0;
+
+std::uint64_t counter(const char* name) {
+  return telemetry::Registry::global().counter(name).value();
+}
+
+/// Advance of the scheduler's recovery counters across a scope.
+class LaneCounters {
+ public:
+  LaneCounters()
+      : deaths_(counter("hayat_serve_lane_deaths_total")),
+        respawns_(counter("hayat_serve_lane_respawns_total")),
+        remote_(counter("hayat_serve_tasks_remote_total")),
+        fallback_(counter("hayat_serve_tasks_local_fallback_total")) {}
+  std::uint64_t deaths() const {
+    return counter("hayat_serve_lane_deaths_total") - deaths_;
+  }
+  std::uint64_t respawns() const {
+    return counter("hayat_serve_lane_respawns_total") - respawns_;
+  }
+  std::uint64_t remote() const {
+    return counter("hayat_serve_tasks_remote_total") - remote_;
+  }
+  std::uint64_t fallback() const {
+    return counter("hayat_serve_tasks_local_fallback_total") - fallback_;
+  }
+
+ private:
+  std::uint64_t deaths_, respawns_, remote_, fallback_;
+};
 
 // ---------------------------------------------------------------- framing
 
@@ -315,59 +368,147 @@ TEST(DispatchDeterminismTest, ExecWorkersRunTheRealBinary) {
   EXPECT_EQ(tableBytes(serial), tableBytes(dispatched));
 }
 
+TEST(DispatchDeterminismTest, RetiredParamUnderProcWorkersFailsLikeInProcess) {
+  // The retired key, built from pieces: nothing in the code base names it.
+  const std::string retired = std::string("prune") + "Radius";
+  ExperimentSpec spec = testSpec();
+  spec.chips = {0};
+  spec.policies = {{"Hayat", {{retired, 4.0}}}};
+  const auto errorOf = [&](const std::string& dispatch) -> std::string {
+    try {
+      (void)runDispatched(spec, dispatch);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "(no error)";
+  };
+  const std::string inProcess = errorOf("");
+  EXPECT_NE(inProcess.find("no parameter \"" + retired + "\""),
+            std::string::npos)
+      << inProcess;
+  EXPECT_EQ(errorOf("proc:1"), inProcess);
+}
+
+// ------------------------------------------------------ fork safety, metrics
+
+TEST(ForkSafetyTest, WorkersForkedDuringCounterLookupsAllAnswer) {
+  // A worker takes the metric registry mutex at start-up when telemetry
+  // is on, and the shared start-up cache mutexes in its first task.
+  // Were it forked while another thread held one of them, it would hang
+  // there; the fork handlers hold them all across fork(), so each of
+  // these workers answers its first task.
+#if defined(__SANITIZE_ADDRESS__)
+  // ASan's allocator installs no fork handlers, so a child forked while
+  // the other thread allocates can hang inside ASan itself.  TSan, which
+  // does handle fork(), runs this test.
+  GTEST_SKIP() << "ASan's allocator is not fork-safe under threads";
+#endif
+  ExperimentSpec spec = testSpec();
+  spec.chips = {0};
+  spec.policies = {{"VAA", {}}};
+  spec.lifetime.horizon = 0.25;  // one cheap task
+  spec.system.agingTable.temperaturePoints = 3;  // and cheap aging tables
+  spec.system.agingTable.dutyPoints = 3;
+  spec.system.pathsPerCore = 1;
+  const std::string payload = encodeSpec(spec);
+  const std::uint64_t hash = specHash(spec);
+
+  telemetry::setEnabled(true);
+  std::atomic<bool> done{false};
+  std::thread lookups([&done, &spec] {
+    for (std::uint64_t i = 0; !done.load(); ++i) {
+      const telemetry::Span span("test.fork_probe");
+      telemetry::Registry::global()
+          .counter("hayat_test_fork_probe_" + std::to_string(i % 8))
+          .add();
+      (void)telemetry::workerCounters();
+      // 32 populations cycle through the 16-entry aging-table cache, so
+      // every create fills it under its mutex.
+      (void)System::create(spec.system, spec.populationSeed + 1 + i % 32);
+    }
+  });
+  int answered = 0;
+  for (int i = 0; i < 200; ++i) {
+    pid_t pid = -1;
+    const int fd = spawnWorker(WorkerEndpoint{}, -1, pid);
+    if (fd < 0) break;
+    Message msg;
+    bool timedOut = false;
+    const bool ok = writeMessage(fd, MsgType::Spec, payload) &&
+                    writeMessage(fd, MsgType::Task, encodeTask(0, hash)) &&
+                    readMessage(fd, msg, 30000, timedOut) &&
+                    msg.type == MsgType::Result;
+    writeMessage(fd, MsgType::Shutdown, "");
+    ::close(fd);
+    if (!ok) ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+    if (!ok) {
+      ADD_FAILURE() << "worker " << i << (timedOut ? " hung" : " died");
+      break;
+    }
+    ++answered;
+  }
+  done.store(true);
+  lookups.join();
+  telemetry::setEnabled(false);
+  EXPECT_EQ(answered, 200);
+}
+
+TEST(DispatchTelemetryTest, ProcLaneMergesTheWorkerTaskHistogram) {
+  const ExperimentSpec spec = testSpec();  // 4 tasks
+  telemetry::resetWorkerCountersForTest();
+  telemetry::setEnabled(true);
+  SchedulerConfig config;
+  config.dispatch = "proc:1";
+  const SweepTable table = runOnScheduler(spec, config);
+  telemetry::setEnabled(false);
+  ASSERT_EQ(table.runs.size(), 4u);
+
+  std::uint64_t observed = 0;
+  for (const telemetry::HistogramSnapshot& h : telemetry::workerHistograms())
+    if (h.name == "hayat_worker_task_seconds") observed = h.count;
+  EXPECT_EQ(observed, 4u);  // one observation per remotely run task
+}
+
 // --------------------------------------------------------- fault handling
 
 TEST(CrashRecoveryTest, WorkerDeathsAreRespawnedAndTableUnchanged) {
-  const ExperimentSpec spec = testSpec();
+  ExperimentSpec spec = testSpec();
+  spec.darkFractions = {0.25, 0.5};  // 8 tasks: some lane takes >= 3
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
-  ASSERT_EQ(tasks.size(), 4u);
 
-  // Every worker incarnation _exit(42)s after serving one result, so the
-  // sweep only finishes if deaths are detected and slots respawned.
-  const ScopedEnv crash("HAYAT_WORKER_EXIT_AFTER", "1");
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:2");
-  config.respawnBackoffSeconds = 0.02;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
+  // Every worker incarnation _exit(43)s after serving one result: a lane
+  // sees the death on its next task, runs that task itself, and respawns
+  // its worker for the one after — so a lane with three tasks respawns.
+  const ScopedEnv plan("HAYAT_FAULT_PLAN",
+                       "die:worker=0,after=1;die:worker=1,after=1");
+  SchedulerConfig config;
+  config.dispatch = "proc:2";
+  config.taskTimeoutSeconds = kRespawnTestTimeoutSeconds;
+  const LaneCounters lanes;
+  const SweepTable table = runOnScheduler(spec, config);
 
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.workerDeaths, 1);
-  EXPECT_GE(stats.workerRespawns, 1);
-  EXPECT_EQ(stats.tasksCompletedRemotely + stats.tasksCompletedLocally, 4);
+  EXPECT_GE(lanes.deaths(), 1u);
+  EXPECT_GE(lanes.respawns(), 1u);
+  EXPECT_EQ(lanes.remote() + lanes.fallback(), 8u);
 }
 
 TEST(CrashRecoveryTest, WedgedWorkerIsTimedOutAndItsTaskRequeued) {
   ExperimentSpec spec = testSpec();
   spec.chips = {0};  // 2 tasks: the worker serves one, wedges on the next
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
-  ASSERT_EQ(tasks.size(), 2u);
 
-  const ScopedEnv stall("HAYAT_WORKER_STALL_AFTER", "1");
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:1");
+  const ScopedEnv plan("HAYAT_FAULT_PLAN", "stall:worker=0,after=1");
+  SchedulerConfig config;
+  config.dispatch = "proc:1";
   config.taskTimeoutSeconds = 2.0;
-  config.respawnBackoffSeconds = 0.02;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
+  const LaneCounters lanes;
+  const SweepTable table = runOnScheduler(spec, config);
 
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.workerDeaths, 1);   // the wedged worker was killed
-  EXPECT_GE(stats.tasksRetried, 1);   // its in-flight task was re-queued
+  EXPECT_GE(lanes.deaths(), 1u);    // the wedged worker was killed
+  EXPECT_EQ(lanes.fallback(), 1u);  // and its lane ran the task itself
 }
 
 TEST(DegradationTest, UnreachableFleetFallsBackToLocalThreads) {
@@ -591,33 +732,36 @@ TEST(WireCodecTest, CachePushRoundTripsAndPinsTheCacheVersion) {
                Error);
 }
 
-// ----------------------------------------------------------- work stealing
+// ----------------------------------------------------------------- lanes
 
-TEST(WorkStealingTest, IdleWorkerStealsFromTheDeepestQueue) {
+TEST(LaneTest, SlowWorkerDoesNotHoldBackTheFleet) {
   const ExperimentSpec spec = testSpec();  // 4 tasks
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
-  ASSERT_EQ(tasks.size(), 4u);
 
-  // Two workers, two tasks each, nothing pending.  Worker 1 is slow, so
-  // worker 0 finishes its pair first and must then steal worker 1's
-  // queued (not yet started) tail task instead of idling.
-  const ScopedEnv plan("HAYAT_FAULT_PLAN", "delay:worker=1,ms=1500");
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:2");
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
+  // Worker 1 holds every Result for kDelayMs.  Lanes pull a task only
+  // when idle, so lane 1 sits on its first task while lane 0 computes
+  // the other three — three rows are done before lane 1 can answer.
+  constexpr int kDelayMs = 2000;
+  const ScopedEnv plan("HAYAT_FAULT_PLAN",
+                       "delay:worker=1,ms=" + std::to_string(kDelayMs));
+  SchedulerConfig config;
+  config.dispatch = "proc:2";
+  config.cache = false;
+  const LaneCounters lanes;
+  SweepScheduler scheduler(config);
+  const auto start = std::chrono::steady_clock::now();
+  const std::shared_ptr<SpecRun> run = scheduler.attach(spec, 0, "test");
+  while (run->completedTasks() < 3 &&
+         std::chrono::steady_clock::now() - start <
+             std::chrono::milliseconds(kDelayMs))
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_GE(run->completedTasks(), 3) << "lane 0 waited on the slow lane";
+  for (int i = 0; i < run->taskCount(); ++i)
+    ASSERT_TRUE(run->waitRow(i, 120000).has_value()) << "row " << i;
 
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
-
-  EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.tasksStolen, 1);
-  EXPECT_EQ(stats.workerDeaths, 0);  // stealing, not timeout-killing
-  EXPECT_EQ(stats.tasksCompletedRemotely, 4);
+  EXPECT_EQ(tableBytes(serial), tableBytes(run->table()));
+  EXPECT_EQ(lanes.deaths(), 0u);  // slow is not dead
+  EXPECT_EQ(lanes.remote(), 4u);
 }
 
 namespace {
@@ -648,96 +792,55 @@ std::string slurpFile(const std::string& path) {
 }
 
 /// A hostile-but-plausible worker: serves the protocol correctly except
-/// that every Result is sent twice — the wire-level shape of a stolen
-/// task completing on both its victim and its thief.
-int doubleEchoWorker(int fd) {
+/// that every Result names the wrong task index.
+int wrongIndexWorker(int fd) {
   Message msg;
   if (!readMessage(fd, msg) || msg.type != MsgType::Spec) return 1;
   const ExperimentSpec spec = decodeSpec(msg.payload);
   const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
-  const std::uint64_t hash = specHash(spec);
   while (readMessage(fd, msg)) {
     if (msg.type == MsgType::Shutdown) return 0;
     if (msg.type != MsgType::Task) continue;
     int index = -1;
     std::uint64_t taskHash = 0;
     decodeTask(msg.payload, index, taskHash);
-    if (taskHash != hash) return 1;
     const RunResult result = ExperimentEngine::runTask(
         tasks[static_cast<std::size_t>(index)], spec.populationSeed);
-    const std::string payload = encodeResult(index, result);
-    if (!writeMessage(fd, MsgType::Result, payload)) return 1;
-    if (!writeMessage(fd, MsgType::Result, payload)) return 1;
+    if (!writeMessage(fd, MsgType::Result, encodeResult(index + 1, result)))
+      return 1;
   }
   return 0;
 }
 
 }  // namespace
 
-TEST(WorkStealingTest, DuplicateResultsAreDroppedByIndex) {
+TEST(LaneTest, WrongIndexAnswerKillsTheWorkerAndKeepsTheTable) {
   const ExperimentSpec spec = testSpec();  // 4 tasks
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
 
+  // The worker accepts one connection and then closes its port, so once
+  // the lane kills it every redial is refused.
   int port = 0;
   const int listenFd = bindLoopback(port);
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
     const int fd = ::accept(listenFd, nullptr, nullptr);
-    ::_exit(fd < 0 ? 1 : doubleEchoWorker(fd));
+    ::close(listenFd);
+    ::_exit(fd < 0 ? 1 : wrongIndexWorker(fd));
   }
   ::close(listenFd);
 
-  DispatchConfig config;
-  config.endpoints =
-      parseWorkerSpec("tcp:127.0.0.1:" + std::to_string(port));
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
+  const LaneCounters lanes;
+  const SweepTable table =
+      runDispatched(spec, "tcp:127.0.0.1:" + std::to_string(port));
 
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
-
-  // Every duplicate before the final Result is observed and dropped; the
-  // table resolves each index exactly once, byte-identical to serial.
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.duplicateResults, 3);
-  EXPECT_EQ(stats.tasksCompletedRemotely, 4);
+  EXPECT_GE(lanes.deaths(), 1u);
+  EXPECT_EQ(lanes.remote(), 0u);  // no mislabeled row reached the table
 
   ::kill(child, SIGKILL);
   ::waitpid(child, nullptr, 0);
-}
-
-TEST(WorkStealingTest, StalledHeadTaskIsReStolenWithoutAKill) {
-  const ExperimentSpec spec = testSpec();  // 4 tasks
-  const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
-
-  // Worker 1 wedges before its second task.  With head stealing enabled
-  // and the task timeout far away, worker 0 must speculatively re-run
-  // both of worker 1's queued tasks — the tail by moving it, the stalled
-  // head by duplicating it — and finish the sweep with zero deaths.
-  const ScopedEnv plan("HAYAT_FAULT_PLAN", "stall:worker=1,after=1");
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:2");
-  config.taskTimeoutSeconds = 60.0;
-  config.stealHeadAfterSeconds = 0.25;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
-
-  EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.tasksStolen, 1);
-  EXPECT_EQ(stats.workerDeaths, 0);
-  EXPECT_EQ(stats.tasksCompletedRemotely, 4);
 }
 
 // ------------------------------------------- injected coordinator faults
@@ -746,56 +849,38 @@ TEST(FaultInjectionTest, DroppedTaskFrameIsRecoveredByTheTimeout) {
   ExperimentSpec spec = testSpec();
   spec.chips = {0};  // 2 tasks
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
 
   // Frame 1 is the Spec; frame 2 is Task 0, swallowed at the transport —
-  // the worker sees silence, so only the coordinator's per-task timeout
-  // can save the task.
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:1");
-  config.faultPlan = "drop:frame=2";
+  // the worker sees silence, so only the lane's per-task timeout can
+  // save the task.
+  const ScopedEnv plan("HAYAT_FAULT_PLAN", "drop:frame=2");
+  SchedulerConfig config;
+  config.dispatch = "proc:1";
   config.taskTimeoutSeconds = 1.0;
-  config.respawnBackoffSeconds = 0.02;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
+  const LaneCounters lanes;
+  const SweepTable table = runOnScheduler(spec, config);
 
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.workerDeaths, 1);  // the timeout kill
-  EXPECT_GE(stats.tasksRetried, 1);
-  EXPECT_GE(stats.workerRespawns, 1);
+  EXPECT_GE(lanes.deaths(), 1u);  // the timeout kill
+  EXPECT_GE(lanes.fallback(), 1u);
+  EXPECT_GE(lanes.respawns(), 1u);
 }
 
 TEST(FaultInjectionTest, CorruptedTaskFrameKillsAndRespawnsTheWorker) {
   ExperimentSpec spec = testSpec();
   spec.chips = {0};  // 2 tasks
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
 
   // Frame 2 (Task 0) keeps valid framing but a mangled payload: the
-  // worker's decoder rejects it and exits, which the coordinator sees as
-  // an EOF death — no timeout wait needed.
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:1");
-  config.faultPlan = "corrupt:frame=2";
-  config.respawnBackoffSeconds = 0.02;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
+  // worker's decoder rejects it and exits, which the lane sees as an EOF
+  // death — no timeout wait needed.
+  const ScopedEnv plan("HAYAT_FAULT_PLAN", "corrupt:frame=2");
+  const LaneCounters lanes;
+  const SweepTable table = runDispatched(spec, "proc:1");
 
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.workerDeaths, 1);
-  EXPECT_GE(stats.workerRespawns, 1);
+  EXPECT_GE(lanes.deaths(), 1u);
+  EXPECT_GE(lanes.respawns(), 1u);
 }
 
 TEST(FaultInjectionTest, SoakSweepSurvivesEveryWorkerDying) {
@@ -803,39 +888,31 @@ TEST(FaultInjectionTest, SoakSweepSurvivesEveryWorkerDying) {
   spec.darkFractions = {0.25, 0.5};
   spec.repetitions = 2;  // 16 tasks
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
-  ASSERT_EQ(tasks.size(), 16u);
 
-  // Every slot's incarnation _exit(43)s after serving one result, so the
-  // sweep finishes only if all four slots are killed and respawned —
-  // repeatedly — while queued tasks are re-queued or stolen each time.
+  // Every lane's worker _exit(43)s after serving one result, so each lane
+  // alternates remote task, death, respawn — a lane with k tasks
+  // respawns (k-1)/2 times, at least 4 across the fleet.
   const ScopedEnv plan("HAYAT_FAULT_PLAN",
                        "die:worker=0,after=1;die:worker=1,after=1;"
                        "die:worker=2,after=1;die:worker=3,after=1");
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:4");
-  config.respawnBackoffSeconds = 0.02;
-  config.maxRespawns = 16;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
+  SchedulerConfig config;
+  config.dispatch = "proc:4";
+  config.taskTimeoutSeconds = kRespawnTestTimeoutSeconds;
+  config.maxLaneRespawns = 16;
+  const LaneCounters lanes;
+  const SweepTable table = runOnScheduler(spec, config);
 
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.workerDeaths, 4);    // each slot died at least once
-  EXPECT_GE(stats.workerRespawns, 4);  // and came back
-  EXPECT_EQ(stats.tasksCompletedRemotely + stats.tasksCompletedLocally, 16);
+  EXPECT_GE(lanes.deaths(), 4u);
+  EXPECT_GE(lanes.respawns(), 4u);
+  EXPECT_EQ(lanes.remote() + lanes.fallback(), 16u);
 }
 
 // --------------------------------------------------------- cache pushing
 
 TEST(CachePushTest, CorruptPushIsRejectedWithoutKillingTheWorker) {
   const std::string dir =
-      testing::TempDir() + "hayat_dispatch_push_corrupt_test";
+      testing::TempDir() + "hayat_push_corrupt_test";
   std::filesystem::remove_all(dir);
   const ScopedEnv cacheDir("HAYAT_CACHE_DIR", dir);
 

@@ -29,12 +29,12 @@
 
 #include "engine/engine.hpp"
 #include "engine/result_cache.hpp"
+#include "engine/scheduler.hpp"
 #include "engine/wire.hpp"
 #include "engine/worker_proc.hpp"
 #include "serve/http.hpp"
 #include "serve/http_client.hpp"
 #include "serve/job_queue.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -42,6 +42,8 @@ namespace hayat::serve {
 namespace {
 
 using engine::ExperimentSpec;
+using engine::SchedulerConfig;
+using engine::SweepScheduler;
 using engine::SweepTable;
 
 /// Fresh scratch directory per test; removed on destruction.
@@ -798,8 +800,8 @@ TEST(WireV5Test, WorkerServesMultipleSpecsOnOneConnection) {
   ExperimentSpec specB = testSpec("multi-b");
   specB.chips = {0};  // different shape, different hash
 
-  int fd = -1;
-  const pid_t pid = engine::spawnForkWorker(fd);
+  pid_t pid = -1;
+  const int fd = engine::spawnWorker(engine::WorkerEndpoint{}, -1, pid);
   ASSERT_GT(pid, 0);
   ASSERT_GE(fd, 0);
 
