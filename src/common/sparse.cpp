@@ -270,25 +270,57 @@ BandedFactorization::BandedFactorization(const SparseMatrix& a, int band)
       for (int c = 0; c < len; ++c) row[c] -= factor * rowK[c];
     }
   }
+
+  // The envelope of the factors: per row, the first nonzero column of L
+  // and the last nonzero column of U.  Every factor entry outside it is
+  // an exact zero, so the sweeps below skip only `0.0 * s[j]` terms.
+  lowerStart_.resize(static_cast<std::size_t>(n_));
+  upperEnd_.resize(static_cast<std::size_t>(n_));
+  for (int r = 0; r < n_; ++r) {
+    int lo = std::max(0, r - band_);
+    while (lo < r && at(r, lo) == 0.0) ++lo;
+    int hi = std::min(n_ - 1, r + band_);
+    while (hi > r && at(r, hi) == 0.0) --hi;
+    lowerStart_[static_cast<std::size_t>(r)] = lo;
+    upperEnd_[static_cast<std::size_t>(r)] = hi;
+  }
+}
+
+int BandedFactorization::lowerStart(int r) const {
+  HAYAT_REQUIRE(r >= 0 && r < n_, "factor row out of range");
+  return lowerStart_[static_cast<std::size_t>(r)];
+}
+
+int BandedFactorization::upperEnd(int r) const {
+  HAYAT_REQUIRE(r >= 0 && r < n_, "factor row out of range");
+  return upperEnd_[static_cast<std::size_t>(r)];
+}
+
+double BandedFactorization::factor(int r, int c) const {
+  HAYAT_REQUIRE(r >= 0 && r < n_ && c >= 0 && c < n_ &&
+                    std::abs(r - c) <= band_,
+                "factor entry outside the band");
+  return at(r, c);
 }
 
 void BandedFactorization::solveInPlace(Vector& x) const {
   HAYAT_REQUIRE(static_cast<int>(x.size()) == n_, "rhs size mismatch");
-  // Forward substitution (unit lower triangle).
+  // Forward substitution (unit lower triangle), over the envelope.
   for (int i = 0; i < n_; ++i) {
+    const double* li = row(i);
     double acc = x[static_cast<std::size_t>(i)];
-    const int jBegin = std::max(0, i - band_);
-    for (int j = jBegin; j < i; ++j)
-      acc -= at(i, j) * x[static_cast<std::size_t>(j)];
+    for (int j = lowerStart_[static_cast<std::size_t>(i)]; j < i; ++j)
+      acc -= li[j] * x[static_cast<std::size_t>(j)];
     x[static_cast<std::size_t>(i)] = acc;
   }
   // Back substitution.
   for (int i = n_ - 1; i >= 0; --i) {
+    const double* ui = row(i);
     double acc = x[static_cast<std::size_t>(i)];
-    const int jEnd = std::min(n_ - 1, i + band_);
+    const int jEnd = upperEnd_[static_cast<std::size_t>(i)];
     for (int j = i + 1; j <= jEnd; ++j)
-      acc -= at(i, j) * x[static_cast<std::size_t>(j)];
-    x[static_cast<std::size_t>(i)] = acc / at(i, i);
+      acc -= ui[j] * x[static_cast<std::size_t>(j)];
+    x[static_cast<std::size_t>(i)] = acc / ui[i];
   }
 }
 
@@ -299,77 +331,71 @@ void BandedFactorization::solvePermuted(Vector& x, Vector& scratch,
   HAYAT_DCHECK(static_cast<int>(scratch.size()) >= n_);
   double* s = scratch.data();
   const int* p = perm.data();
-  // Forward substitution (unit lower triangle), two rows jammed per
-  // traversal: row i+1's partial sums ride the same pass over s[] that
-  // row i uses, and the gather x[perm[i]] replaces the pack pass.  Each
-  // accumulator applies its subtractions in ascending j — exactly the
-  // solveInPlace sequence — so the jam reorders only operations on
-  // *different* accumulators and every element matches bitwise.
+  const int* lo = lowerStart_.data();
+  // Forward substitution (unit lower triangle), four rows jammed per
+  // traversal, each row over its own envelope.  A block's rows first
+  // run their private prefixes up to the latest envelope start `jc`,
+  // then share one pass over s[jc, i), then pick up the in-block
+  // triangle.  Each accumulator still applies its subtractions in
+  // ascending j — the solveInPlace sequence — so the jam reorders only
+  // operations on *different* accumulators and every element matches
+  // bitwise.  A row whose envelope starts inside the block skips the
+  // triangle terms before its start, exactly as solveInPlace does.
   int i = 0;
-  if (band_ > 0) {  // a zero band has empty rows — nothing to jam
-    for (; i + 1 < n_; i += 2) {
-      double acc0 = x[static_cast<std::size_t>(p[i])];
-      double acc1 = x[static_cast<std::size_t>(p[i + 1])];
-      const int jb0 = std::max(0, i - band_);
-      const int jb1 = std::max(0, i + 1 - band_);
-      if (jb1 > jb0) acc0 -= at(i, jb0) * s[jb0];  // row i starts one early
-      for (int j = jb1; j < i; ++j) {
-        const double v = s[j];
-        acc0 -= at(i, j) * v;
-        acc1 -= at(i + 1, j) * v;
-      }
-      s[i] = acc0;
-      acc1 -= at(i + 1, i) * acc0;  // row i+1's last term, still ascending j
-      s[i + 1] = acc1;
+  for (; i + 3 < n_; i += 4) {
+    const double* r0 = row(i);
+    const double* r1 = row(i + 1);
+    const double* r2 = row(i + 2);
+    const double* r3 = row(i + 3);
+    const int l0 = lo[i];
+    const int l1 = lo[i + 1];
+    const int l2 = lo[i + 2];
+    const int l3 = lo[i + 3];
+    const int jc = std::min(i, std::max(std::max(l0, l1), std::max(l2, l3)));
+    double a0 = x[static_cast<std::size_t>(p[i])];
+    double a1 = x[static_cast<std::size_t>(p[i + 1])];
+    double a2 = x[static_cast<std::size_t>(p[i + 2])];
+    double a3 = x[static_cast<std::size_t>(p[i + 3])];
+    for (int j = l0; j < jc; ++j) a0 -= r0[j] * s[j];
+    for (int j = l1; j < jc; ++j) a1 -= r1[j] * s[j];
+    for (int j = l2; j < jc; ++j) a2 -= r2[j] * s[j];
+    for (int j = l3; j < jc; ++j) a3 -= r3[j] * s[j];
+    for (int j = jc; j < i; ++j) {
+      const double v = s[j];
+      a0 -= r0[j] * v;
+      a1 -= r1[j] * v;
+      a2 -= r2[j] * v;
+      a3 -= r3[j] * v;
     }
+    s[i] = a0;
+    if (l1 <= i) a1 -= r1[i] * a0;
+    if (l2 <= i) a2 -= r2[i] * a0;
+    if (l3 <= i) a3 -= r3[i] * a0;
+    s[i + 1] = a1;
+    if (l2 <= i + 1) a2 -= r2[i + 1] * a1;
+    if (l3 <= i + 1) a3 -= r3[i + 1] * a1;
+    s[i + 2] = a2;
+    if (l3 <= i + 2) a3 -= r3[i + 2] * a2;
+    s[i + 3] = a3;
   }
   for (; i < n_; ++i) {
+    const double* ri = row(i);
     double acc = x[static_cast<std::size_t>(p[i])];
-    const int jb = std::max(0, i - band_);
-    for (int j = jb; j < i; ++j) acc -= at(i, j) * s[j];
+    for (int j = lo[i]; j < i; ++j) acc -= ri[j] * s[j];
     s[i] = acc;
   }
-  // Back substitution.  Row i-1's first subtraction uses the final x[i],
+  // Back substitution.  Row i-1's first subtraction uses the final s[i],
   // which only exists after row i completes, so rows cannot be jammed
   // here without reordering row i-1's ascending-j sequence; the sweep
   // stays row-at-a-time with the scatter fused into the final write.
+  const int* hi = upperEnd_.data();
   for (int r = n_ - 1; r >= 0; --r) {
+    const double* rr = row(r);
     double acc = s[r];
-    const int jEnd = std::min(n_ - 1, r + band_);
-    for (int j = r + 1; j <= jEnd; ++j) acc -= at(r, j) * s[j];
-    const double v = acc / at(r, r);
+    for (int j = r + 1; j <= hi[r]; ++j) acc -= rr[j] * s[j];
+    const double v = acc / rr[r];
     s[r] = v;
     x[static_cast<std::size_t>(p[r])] = v;
-  }
-}
-
-void BandedFactorization::solveManyInPlace(double* xs, int count) const {
-  HAYAT_REQUIRE(count >= 0, "negative right-hand-side count");
-  if (count == 0) return;
-  const auto stride = static_cast<std::size_t>(count);
-  // Forward substitution (unit lower triangle).  Per RHS this performs
-  // the exact update sequence of solveInPlace — subtractions in
-  // ascending j — with the k loop innermost over the interleaved RHS.
-  for (int i = 0; i < n_; ++i) {
-    double* xi = xs + static_cast<std::size_t>(i) * stride;
-    const int jBegin = std::max(0, i - band_);
-    for (int j = jBegin; j < i; ++j) {
-      const double lij = at(i, j);
-      const double* xj = xs + static_cast<std::size_t>(j) * stride;
-      for (int k = 0; k < count; ++k) xi[k] -= lij * xj[k];
-    }
-  }
-  // Back substitution.
-  for (int i = n_ - 1; i >= 0; --i) {
-    double* xi = xs + static_cast<std::size_t>(i) * stride;
-    const int jEnd = std::min(n_ - 1, i + band_);
-    for (int j = i + 1; j <= jEnd; ++j) {
-      const double uij = at(i, j);
-      const double* xj = xs + static_cast<std::size_t>(j) * stride;
-      for (int k = 0; k < count; ++k) xi[k] -= uij * xj[k];
-    }
-    const double diag = at(i, i);
-    for (int k = 0; k < count; ++k) xi[k] /= diag;
   }
 }
 
@@ -384,16 +410,16 @@ void BandedFactorization::solveManyPermuted(std::vector<Vector>& xs,
   // Forward substitution with the gather fused into each row's first
   // touch: lane k of row i starts from xs[k][perm[i]] instead of a
   // pre-packed buffer.  Per RHS the subtraction order is the ascending-j
-  // sequence of solveInPlace, so every lane matches a per-RHS solve
-  // bitwise.
+  // envelope sequence of solveInPlace, so every lane matches a per-RHS
+  // solve bitwise.
   for (int i = 0; i < n_; ++i) {
+    const double* li = row(i);
     double* si = scratch + static_cast<std::size_t>(i) * stride;
     const auto src = static_cast<std::size_t>(p[i]);
     for (int k = 0; k < count; ++k)
       si[k] = xs[static_cast<std::size_t>(k)][src];
-    const int jBegin = std::max(0, i - band_);
-    for (int j = jBegin; j < i; ++j) {
-      const double lij = at(i, j);
+    for (int j = lowerStart_[static_cast<std::size_t>(i)]; j < i; ++j) {
+      const double lij = li[j];
       const double* sj = scratch + static_cast<std::size_t>(j) * stride;
       for (int k = 0; k < count; ++k) si[k] -= lij * sj[k];
     }
@@ -401,14 +427,15 @@ void BandedFactorization::solveManyPermuted(std::vector<Vector>& xs,
   // Back substitution with the scatter fused into each row's final
   // divide: lane k's solution lands directly in xs[k][perm[i]].
   for (int i = n_ - 1; i >= 0; --i) {
+    const double* ui = row(i);
     double* si = scratch + static_cast<std::size_t>(i) * stride;
-    const int jEnd = std::min(n_ - 1, i + band_);
+    const int jEnd = upperEnd_[static_cast<std::size_t>(i)];
     for (int j = i + 1; j <= jEnd; ++j) {
-      const double uij = at(i, j);
+      const double uij = ui[j];
       const double* sj = scratch + static_cast<std::size_t>(j) * stride;
       for (int k = 0; k < count; ++k) si[k] -= uij * sj[k];
     }
-    const double diag = at(i, i);
+    const double diag = ui[i];
     const auto dst = static_cast<std::size_t>(p[i]);
     for (int k = 0; k < count; ++k) {
       const double v = si[k] / diag;
@@ -490,9 +517,8 @@ void RcSolver::solveManyInPlace(std::vector<Vector>& xs,
     return;
   }
 
-  // Fused-permutation batched sweep: the gather/scatter passes of the
-  // old pack -> solveManyInPlace -> unpack path now ride the forward
-  // and backward substitutions themselves.
+  // Fused-permutation batched sweep: the gather and scatter ride the
+  // forward and backward substitutions themselves.
   scratch.resize(static_cast<std::size_t>(n_) *
                  static_cast<std::size_t>(count));
   HAYAT_DCHECK(scratch.size() >= static_cast<std::size_t>(n_) *

@@ -18,11 +18,13 @@
 // *identical* floating-point operations, in the identical order, that
 // LuFactorization performs on the same matrix, merely skipping the
 // out-of-band entries that dense elimination provably keeps at exact
-// zero.  RC conductance matrices are symmetric and (weakly) diagonally
-// dominant, so dense partial pivoting never actually swaps rows; the
-// two paths therefore produce bitwise-identical solutions.  RcSolver
-// exploits that to offer a dense A/B reference (HAYAT_DENSE_SOLVER=1)
-// whose sweep outputs are byte-identical to the banded default.
+// zero; the solves further skip the in-band factor entries outside each
+// row's envelope, which are exact zeros too.  RC conductance matrices
+// are symmetric and (weakly) diagonally dominant, so dense partial
+// pivoting never actually swaps rows; the two paths therefore produce
+// bitwise-identical solutions.  RcSolver exploits that to offer a dense
+// A/B reference (HAYAT_DENSE_SOLVER=1) whose sweep outputs are
+// byte-identical to the banded default.
 #pragma once
 
 #include <cstddef>
@@ -123,16 +125,15 @@ class BandedFactorization {
   int band() const { return band_; }
 
   /// Solves A x = b where `x` holds b on entry and the solution on
-  /// return.  No allocations.
+  /// return, row by row over the envelope.  No allocations.
   void solveInPlace(Vector& x) const;
 
-  /// Fused-permutation solve of the DESIGN.md §3.13 blocked sweeps: the
-  /// right-hand side is gathered as x[perm[i]] when the forward sweep
-  /// first touches row i, both triangular sweeps run on `scratch` (the
-  /// permuted domain), and each final back-substituted value scatters
-  /// straight to x[perm[i]] — the separate pack and unpack passes of the
-  /// pre-§3.13 RcSolver are gone.  The forward sweep jams two rows per
-  /// traversal; every accumulator still applies its subtractions in
+  /// Fused-permutation solve of the DESIGN.md §3.13 envelope sweeps:
+  /// the right-hand side is gathered as x[perm[i]] when the forward
+  /// sweep first touches row i, both triangular sweeps run on `scratch`
+  /// (the permuted domain), and each final back-substituted value
+  /// scatters straight to x[perm[i]].  The forward sweep jams four rows
+  /// per traversal; every accumulator still applies its subtractions in
   /// ascending j, so the operation sequence per element is exactly
   /// pack -> solveInPlace -> unpack and the results are bitwise equal.
   /// No allocations; `scratch` must already hold at least size()
@@ -140,25 +141,28 @@ class BandedFactorization {
   void solvePermuted(Vector& x, Vector& scratch,
                      const std::vector<int>& perm) const;
 
-  /// Multi-RHS solve: `count` right-hand sides stored interleaved
-  /// (element i of RHS k at xs[i*count + k]), each replaced by its
-  /// solution.  Every RHS undergoes the identical substitution sequence
-  /// as solveInPlace — the interleaved layout only amortizes the factor
-  /// traversal across RHS — so each solution is bitwise equal to a
-  /// per-RHS solveInPlace.  No allocations.
-  void solveManyInPlace(double* xs, int count) const;
-
-  /// Fused-permutation multi-RHS solve: like solvePermuted but for the
-  /// interleaved batch layout of solveManyInPlace.  Row i's lane values
-  /// are gathered from xs[k][perm[i]] by the forward sweep and the
-  /// back-substituted lane values scatter to xs[k][perm[i]], killing
-  /// the pack/unpack passes of the §3.8 path.  Per RHS the substitution
-  /// sequence is identical to solveInPlace, so each solution is bitwise
-  /// equal to a per-RHS solve.  `scratch` must hold at least
-  /// size() * xs.size() elements (the RcSolver wrapper sizes and
-  /// debug-asserts it).  No allocations.
+  /// Fused-permutation multi-RHS solve: `xs` holds one right-hand side
+  /// per vector, replaced by its solution.  The lanes run interleaved in
+  /// `scratch` (element i of lane k at scratch[i*xs.size() + k]); row
+  /// i's lane values are gathered from xs[k][perm[i]] by the forward
+  /// sweep and the back-substituted values scatter to xs[k][perm[i]].
+  /// Per RHS the substitution sequence is identical to solveInPlace, so
+  /// each solution is bitwise equal to a per-RHS solve.  `scratch` must
+  /// hold at least size() * xs.size() elements (the RcSolver wrapper
+  /// sizes and debug-asserts it).  No allocations.
   void solveManyPermuted(std::vector<Vector>& xs, double* scratch,
                          const std::vector<int>& perm) const;
+
+  /// The envelope every sweep runs over: the first column of row r's
+  /// nonzero L entries (r when the row has none) and the last column of
+  /// its nonzero U entries (r when none).  Factor entries outside it are
+  /// exact zeros.
+  int lowerStart(int r) const;
+  int upperEnd(int r) const;
+
+  /// Factor entry (r, c) inside the band: L below the diagonal (unit
+  /// diagonal implied), U on and above it (tests).
+  double factor(int r, int c) const;
 
   /// Convenience allocating solve.
   Vector solve(const Vector& b) const;
@@ -172,9 +176,19 @@ class BandedFactorization {
            static_cast<std::size_t>(c - r + band_);
   }
 
+  /// Row r addressed by column: row(r)[c] == at(r, c) for |r-c| <= band.
+  /// The base offset r*2*band + band stays inside band_data_.
+  const double* row(int r) const {
+    return band_data_.data() +
+           static_cast<std::size_t>(r) * static_cast<std::size_t>(2 * band_) +
+           static_cast<std::size_t>(band_);
+  }
+
   int n_ = 0;
   int band_ = 0;
   std::vector<double> band_data_;  ///< row-major band storage
+  std::vector<int> lowerStart_;    ///< per row, see lowerStart()
+  std::vector<int> upperEnd_;      ///< per row, see upperEnd()
 };
 
 /// The solver the thermal models use: one bandwidth-reducing permutation
@@ -200,6 +214,8 @@ class RcSolver {
   int size() const { return n_; }
   int band() const { return band_; }
   bool usesDense() const { return dense_ != nullptr; }
+  /// The banded factors of the permuted matrix; null on the dense path.
+  const BandedFactorization* banded() const { return banded_.get(); }
   const std::vector<int>& permutation() const { return perm_; }
 
   /// Solves A x = b where `x` holds b on entry and the solution on

@@ -367,6 +367,7 @@ int spawnWorker(const WorkerEndpoint& endpoint, int slot, pid_t& pid) {
   }
 
   telemetry::installForkHandlers();
+  primeWireTelemetry();
   static std::mutex spawnMutex;
   const std::scoped_lock lock(spawnMutex);
   int sv[2];

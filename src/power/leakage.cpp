@@ -1,5 +1,6 @@
 #include "power/leakage.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -8,7 +9,14 @@ namespace hayat {
 
 namespace {
 constexpr double kBoltzmannOverCharge = 8.617333262e-5;  // [V/K]
+
+/// T^2 exp(-Vth / (n k T / q)): the subthreshold form before normalizing.
+double unnormalizedFactor(const LeakageConfig& config, Kelvin x) {
+  const double vt = kBoltzmannOverCharge * x;
+  return x * x *
+         std::exp(-config.nominalVth / (config.subthresholdSlopeFactor * vt));
 }
+}  // namespace
 
 LeakageModel::LeakageModel(LeakageConfig config, const VariationMap& variation)
     : config_(config), variation_(&variation) {
@@ -16,6 +24,7 @@ LeakageModel::LeakageModel(LeakageConfig config, const VariationMap& variation)
   HAYAT_REQUIRE(config.gatedCoreLeakage >= 0.0, "negative gated leakage");
   HAYAT_REQUIRE(config.referenceTemperature > 0.0,
                 "reference temperature must be positive kelvin");
+  referenceFactor_ = unnormalizedFactor(config_, config_.referenceTemperature);
 }
 
 double LeakageModel::temperatureFactor(Kelvin temperature) const {
@@ -25,13 +34,7 @@ double LeakageModel::temperatureFactor(Kelvin temperature) const {
   // tripped PROCHOT) makes unreachable; the clamp keeps the coupled
   // leakage fixed point contractive under extreme transients.
   const Kelvin t = std::min(temperature, 400.0);
-  const double n = config_.subthresholdSlopeFactor;
-  const double vth = config_.nominalVth;
-  auto unnormalized = [&](Kelvin x) {
-    const double vt = kBoltzmannOverCharge * x;
-    return x * x * std::exp(-vth / (n * vt));
-  };
-  return unnormalized(t) / unnormalized(config_.referenceTemperature);
+  return unnormalizedFactor(config_, t) / referenceFactor_;
 }
 
 Watts LeakageModel::coreLeakageOn(int core, Kelvin temperature) const {

@@ -56,6 +56,7 @@ class LeakageModel {
  private:
   LeakageConfig config_;
   const VariationMap* variation_;
+  double referenceFactor_ = 1.0;  ///< the normalizer, unnormalized at T_ref
 };
 
 }  // namespace hayat

@@ -26,13 +26,17 @@ int DtmManager::enforce(Mapping& mapping, const Vector& coreTemperatures,
   ++tick_;
   int actions = 0;
 
-  // Restore throttled threads whose cores have recovered.
+  // One pass: restore throttled threads whose cores have recovered, and
+  // collect the hot cores (a restore changes only a frequency, never
+  // which cores are busy).
+  std::vector<int>& hot = hotScratch_;
+  hot.clear();
   for (int i = 0; i < n; ++i) {
     const auto& slot = mapping.onCore(i);
     if (!slot.has_value()) continue;
+    const double t = coreTemperatures[static_cast<std::size_t>(i)];
     if (slot->frequency < slot->requiredFrequency &&
-        coreTemperatures[static_cast<std::size_t>(i)] <
-            config_.tsafe - config_.coldMargin) {
+        t < config_.tsafe - config_.coldMargin) {
       mapping.restoreFrequency(i);
       ++stats_.restores;
       if (telemetry::enabled()) {
@@ -41,16 +45,9 @@ int DtmManager::enforce(Mapping& mapping, const Vector& coreTemperatures,
         restores.add();
       }
     }
+    if (t >= config_.tsafe) hot.push_back(i);
   }
-
-  // Hot cores, hottest first.
-  std::vector<int>& hot = hotScratch_;
-  hot.clear();
-  for (int i = 0; i < n; ++i) {
-    if (!mapping.coreBusy(i)) continue;
-    if (coreTemperatures[static_cast<std::size_t>(i)] >= config_.tsafe)
-      hot.push_back(i);
-  }
+  // Hottest first.
   std::sort(hot.begin(), hot.end(), [&](int a, int b) {
     return coreTemperatures[static_cast<std::size_t>(a)] >
            coreTemperatures[static_cast<std::size_t>(b)];

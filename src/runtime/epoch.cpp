@@ -16,6 +16,57 @@ namespace hayat {
 namespace {
 std::atomic<long> runCount{0};
 std::atomic<std::uint64_t> stepLoopAllocs{0};
+
+/// One core's phase memo: the phase its thread (identified by profile)
+/// runs, and the last step through which it provably keeps running it
+/// (DESIGN.md §3.13).
+struct PhaseRun {
+  const ThreadProfile* profile = nullptr;
+  const ThreadPhase* phase = nullptr;
+  int through = -1;
+};
+
+/// The phase `profile` runs at step s of a window of `steps` steps of
+/// length `step` — the bytes of profile.phaseAt(s * step) — looked up
+/// only when `run` does not already cover step s for this profile.  A
+/// lookup also brackets how long its phase lasts: step k runs the same
+/// phase when it lies less than one period after step s, its period
+/// offset has not fallen (no wrap in between), and its phase matches;
+/// offsets rise with time between wraps and phases never go back as the
+/// offset rises, so every step in between matches too.  Exponential then
+/// binary search over that prefix-true test costs O(log run length)
+/// lookups per phase run instead of one per step.
+const ThreadPhase& phaseAtStep(PhaseRun& run, const ThreadProfile& profile,
+                               int s, int steps, Seconds step) {
+  if (run.profile == &profile && s <= run.through) return *run.phase;
+  const Seconds t0 = s * step;
+  const Seconds w0 = profile.periodOffset(t0);
+  const ThreadPhase* phase = &profile.phaseAtOffset(w0);
+  auto same = [&](int k) {
+    const Seconds t = k * step;
+    if (t - t0 >= profile.period()) return false;
+    const Seconds w = profile.periodOffset(t);
+    return w >= w0 && &profile.phaseAtOffset(w) == phase;
+  };
+  int lo = s;      // known to run `phase`
+  int hi = steps;  // first step not known to
+  for (int stride = 1; lo + stride < steps; stride *= 2) {
+    if (!same(lo + stride)) {
+      hi = lo + stride;
+      break;
+    }
+    lo += stride;
+  }
+  while (hi - lo > 1) {
+    const int mid = lo + (hi - lo) / 2;
+    if (same(mid))
+      lo = mid;
+    else
+      hi = mid;
+  }
+  run = {&profile, phase, lo};
+  return *phase;
+}
 }  // namespace
 
 long epochSimulatorRunCount() { return runCount.load(); }
@@ -98,26 +149,46 @@ EpochResult EpochSimulator::run(const Mapping& initialMapping,
   // Pre-warm every buffer the step loop touches so the loop itself is
   // allocation-free in steady state (the DESIGN.md §3.8 contract; the
   // delta is tracked in epochStepLoopAllocs / hayat_epoch_step_allocs).
-  Vector corePower;
+  Vector corePower(static_cast<std::size_t>(n));
   Vector coreTemps;
   Vector readings;
   Vector stepScratch;
-  mapping.dynamicPowerInto(mix, 0.0, config_.nominalFrequency, corePower);
+  std::vector<PhaseRun> phaseRuns(static_cast<std::size_t>(n));
   thermal_->coreTemperaturesInto(nodeTemps, coreTemps);
   if (noisySensors) readings.resize(static_cast<std::size_t>(n));
   stepScratch.resize(static_cast<std::size_t>(thermal_->nodeCount()));
   const std::uint64_t allocsBefore = heapAllocationCount();
 
-  for (int s = 0; s < steps; ++s) {
-    const Seconds now = s * config_.step;
+  const Hertz nominal = config_.nominalFrequency;
+  // The phase the thread on core i runs at step s.  The memo is keyed
+  // by the thread, so a thread the DTM migrated looks its phase up again
+  // on its new core.
+  auto phaseOn = [&](int i, const MappedThread& slot, int s) {
+    const Application& app =
+        mix.applications[static_cast<std::size_t>(slot.ref.app)];
+    return &phaseAtStep(phaseRuns[static_cast<std::size_t>(i)],
+                        app.thread(slot.ref.thread), s, steps,
+                        config_.step);
+  };
 
-    // Per-core power for this step: phased dynamic power plus leakage at
-    // the present temperatures (the 6.6 ms leakage update of Section V).
-    mapping.dynamicPowerInto(mix, now, config_.nominalFrequency, corePower);
+  for (int s = 0; s < steps; ++s) {
+    // Per-core power for this step in one pass: phased dynamic power
+    // plus leakage at the present temperatures (the 6.6 ms leakage
+    // update of Section V).
+    HAYAT_REQUIRE(nominal > 0.0, "nominal frequency must be positive");
     for (int i = 0; i < n; ++i) {
       const auto si = static_cast<std::size_t>(i);
-      corePower[si] += leakage_->coreLeakage(i, coreTemps[si],
-                                             mapping.coreBusy(i));
+      const auto& slot = mapping.onCore(i);
+      double dynamic = 0.0;
+      double leak = 0.0;
+      if (slot.has_value()) {
+        dynamic = phaseOn(i, *slot, s)->dynamicPower *
+                  (slot->frequency / nominal);
+        leak = leakage_->coreLeakageOn(i, coreTemps[si]);
+      } else {
+        leak = leakage_->coreLeakageGated();
+      }
+      corePower[si] = dynamic + leak;
     }
 
     solver_.stepInPlace(nodeTemps, corePower, stepScratch);
@@ -145,10 +216,7 @@ EpochResult EpochSimulator::run(const Mapping& initialMapping,
       tempTimeAccum += coreTemps[si];
       const auto& slot = mapping.onCore(i);
       if (slot.has_value()) {
-        const Application& app =
-            mix.applications[static_cast<std::size_t>(slot->ref.app)];
-        const ThreadPhase& phase =
-            app.thread(slot->ref.thread).phaseAt(now);
+        const ThreadPhase& phase = *phaseOn(i, *slot, s);
         result.duty[si] += phase.dutyCycle;
         result.achievedIps += phase.ipc * slot->frequency;
         result.requiredIps += phase.ipc * slot->requiredFrequency;

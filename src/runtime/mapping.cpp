@@ -92,15 +92,8 @@ DarkCoreMap Mapping::toDarkCoreMap(const GridShape& grid) const {
 
 Vector Mapping::dynamicPowerAt(const WorkloadMix& mix, Seconds traceTime,
                                Hertz nominalFrequency) const {
-  Vector power;
-  dynamicPowerInto(mix, traceTime, nominalFrequency, power);
-  return power;
-}
-
-void Mapping::dynamicPowerInto(const WorkloadMix& mix, Seconds traceTime,
-                               Hertz nominalFrequency, Vector& out) const {
   HAYAT_REQUIRE(nominalFrequency > 0.0, "nominal frequency must be positive");
-  out.assign(coreThread_.size(), 0.0);
+  Vector out(coreThread_.size(), 0.0);
   for (std::size_t i = 0; i < coreThread_.size(); ++i) {
     const auto& slot = coreThread_[i];
     if (!slot.has_value()) continue;
@@ -110,6 +103,7 @@ void Mapping::dynamicPowerInto(const WorkloadMix& mix, Seconds traceTime,
         app.thread(slot->ref.thread).phaseAt(traceTime);
     out[i] = phase.dynamicPower * (slot->frequency / nominalFrequency);
   }
+  return out;
 }
 
 Vector Mapping::averageDynamicPower(const WorkloadMix& mix,

@@ -87,11 +87,6 @@ class Mapping {
   Vector dynamicPowerAt(const WorkloadMix& mix, Seconds traceTime,
                         Hertz nominalFrequency) const;
 
-  /// Allocation-free variant: writes the per-core dynamic power into
-  /// `out` (resized to coreCount()) — the epoch hot-loop entry point.
-  void dynamicPowerInto(const WorkloadMix& mix, Seconds traceTime,
-                        Hertz nominalFrequency, Vector& out) const;
-
   /// Per-core *average* dynamic power over the trace period (what the
   /// policies' predictors use — they know trace averages, not futures).
   Vector averageDynamicPower(const WorkloadMix& mix,

@@ -35,6 +35,9 @@ VariationMap::VariationMap(const VariationMapConfig& config,
   cpPoints_.resize(static_cast<std::size_t>(cores));
   fmax_.resize(static_cast<std::size_t>(cores));
 
+  negVthDelta_.reserve(static_cast<std::size_t>(cores) *
+                       static_cast<std::size_t>(pointsPerCore));
+
   const int ppe = config.pointsPerCoreEdge;
   for (int core = 0; core < cores; ++core) {
     const TilePos cp = config.coreGrid.posOf(core);
@@ -44,6 +47,7 @@ VariationMap::VariationMap(const VariationMapConfig& config,
       for (int dc = 0; dc < ppe; ++dc)
         pts.push_back(
             pointGrid_.indexOf({cp.row * ppe + dr, cp.col * ppe + dc}));
+    for (int p : pts) negVthDelta_.push_back(-pointVthDelta(p));
 
     // Random subset of the core's grid points forms its critical path —
     // each chip's netlist placement differs, so the subset is sampled.
@@ -91,12 +95,15 @@ Volts VariationMap::coreVthDelta(int core) const {
 double VariationMap::coreLeakageMultiplier(int core,
                                            Kelvin temperature) const {
   HAYAT_REQUIRE(temperature > 0.0, "temperature must be positive kelvin");
+  HAYAT_REQUIRE(core >= 0 && core < coreCount(), "core index out of range");
   const double vt = kBoltzmannOverCharge * temperature;
   const double nvt = config_.subthresholdSlopeFactor * vt;
-  const auto& pts = corePoints(core);
+  const int count = config_.pointsPerCoreEdge * config_.pointsPerCoreEdge;
+  const double* d = negVthDelta_.data() + static_cast<std::size_t>(core) *
+                                              static_cast<std::size_t>(count);
   double acc = 0.0;
-  for (int p : pts) acc += std::exp(-pointVthDelta(p) / nvt);
-  return acc / static_cast<double>(pts.size());
+  for (int k = 0; k < count; ++k) acc += std::exp(d[k] / nvt);
+  return acc / static_cast<double>(count);
 }
 
 const std::vector<int>& VariationMap::corePoints(int core) const {

@@ -84,6 +84,9 @@ class VariationMap {
   std::vector<std::vector<int>> corePoints_;
   std::vector<std::vector<int>> cpPoints_;
   std::vector<Hertz> fmax_;
+  /// -pointVthDelta of every core's points, core-major in corePoints
+  /// order: the Eq. (2) exponents' numerators, fixed for the chip.
+  std::vector<double> negVthDelta_;
 };
 
 }  // namespace hayat

@@ -28,8 +28,15 @@ const ThreadPhase& ThreadProfile::phase(int i) const {
 }
 
 const ThreadPhase& ThreadProfile::phaseAt(Seconds t) const {
+  return phaseAtOffset(periodOffset(t));
+}
+
+Seconds ThreadProfile::periodOffset(Seconds t) const {
   HAYAT_REQUIRE(t >= 0.0, "negative trace time");
-  Seconds within = std::fmod(t, period_);
+  return std::fmod(t, period_);
+}
+
+const ThreadPhase& ThreadProfile::phaseAtOffset(Seconds within) const {
   for (const ThreadPhase& p : phases_) {
     if (within < p.duration) return p;
     within -= p.duration;

@@ -39,8 +39,18 @@ class ThreadProfile {
   /// Total length of one trace period.
   Seconds period() const { return period_; }
 
-  /// Phase active at trace time t (the trace repeats cyclically).
+  /// Phase active at trace time t (the trace repeats cyclically):
+  /// phaseAtOffset(periodOffset(t)).
   const ThreadPhase& phaseAt(Seconds t) const;
+
+  /// Offset of trace time t >= 0 into its period, fmod(t, period()).
+  /// Exact, so it increases with t between two period wraps.
+  Seconds periodOffset(Seconds t) const;
+
+  /// Phase active at period offset `within`.  Non-decreasing in
+  /// `within`: durations are subtracted in phase order and each rounded
+  /// subtraction is monotone.
+  const ThreadPhase& phaseAtOffset(Seconds within) const;
 
   /// Time-weighted average dynamic power across one period.
   Watts averagePower() const;

@@ -3,6 +3,12 @@
 // leakage-temperature fixed point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "common/error.hpp"
 #include "power/dynamic_power.hpp"
 #include "power/leakage.hpp"
@@ -87,7 +93,61 @@ TEST(Leakage, RejectsBadTemperature) {
   const VariationMap vm = uniformChip();
   const LeakageModel lm(LeakageConfig{}, vm);
   EXPECT_THROW(lm.temperatureFactor(0.0), Error);
+  EXPECT_THROW(lm.temperatureFactor(-5.0), Error);
   EXPECT_THROW(lm.coreLeakageOn(0, -5.0), Error);
+  EXPECT_THROW(vm.coreLeakageMultiplier(0, 0.0), Error);
+  EXPECT_THROW(vm.coreLeakageMultiplier(0, -5.0), Error);
+  // The per-core exponents live in one flat array; an out-of-range core
+  // must be refused rather than read past it.
+  EXPECT_THROW(vm.coreLeakageMultiplier(-1, 330.0), Error);
+  EXPECT_THROW(vm.coreLeakageMultiplier(vm.coreCount(), 330.0), Error);
+  EXPECT_THROW(lm.coreLeakageOn(vm.coreCount(), 330.0), Error);
+}
+
+TEST(Leakage, HoistedConstantsMatchTheFormulasBitwise) {
+  // temperatureFactor's reference normalizer and the per-point
+  // -dVth numerators are computed once per model; every call must still
+  // return the bytes of the formulas evaluated in full, across the
+  // 400 K clamp.
+  VariationMapConfig mc;
+  mc.coreGrid = GridShape(4, 4);
+  mc.pointsPerCoreEdge = 2;
+  Rng fieldRng(11);
+  std::vector<double> theta(64);
+  for (double& t : theta) t = fieldRng.uniform(0.85, 1.15);
+  Rng rng(1);
+  const VariationMap vm(mc, theta, rng);
+  const LeakageConfig config;
+  const LeakageModel lm(config, vm);
+
+  constexpr double kBoltzmannOverCharge = 8.617333262e-5;
+  auto unnormalized = [&](Kelvin x) {
+    const double vt = kBoltzmannOverCharge * x;
+    return x * x *
+           std::exp(-config.nominalVth / (config.subthresholdSlopeFactor * vt));
+  };
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  std::vector<Kelvin> temps;
+  for (Kelvin t = 250.0; t <= 450.0; t += 0.37) temps.push_back(t);
+  for (Kelvin t : {330.0, 400.0, std::nextafter(400.0, 0.0),
+                   std::nextafter(400.0, 500.0), 450.0})
+    temps.push_back(t);
+  for (Kelvin t : temps) {
+    const double factor = unnormalized(std::min(t, 400.0)) /
+                          unnormalized(config.referenceTemperature);
+    EXPECT_EQ(bits(lm.temperatureFactor(t)), bits(factor)) << "T=" << t;
+    const double nvt =
+        mc.subthresholdSlopeFactor * (kBoltzmannOverCharge * t);
+    for (int core = 0; core < vm.coreCount(); ++core) {
+      const auto& pts = vm.corePoints(core);
+      double acc = 0.0;
+      for (int p : pts) acc += std::exp(-vm.pointVthDelta(p) / nvt);
+      const double multiplier = acc / static_cast<double>(pts.size());
+      ASSERT_EQ(bits(vm.coreLeakageMultiplier(core, t)), bits(multiplier))
+          << "core " << core << " T=" << t;
+    }
+  }
 }
 
 // --- DynamicPowerModel ----------------------------------------------------

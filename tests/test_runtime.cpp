@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -669,6 +670,60 @@ TEST_F(EpochFixture, SteadyStateStepLoopIsAllocationFree) {
       << "steady-state epoch step loop performed heap allocations";
 }
 
+TEST_F(EpochFixture, PhaseRunsMatchPerStepLookups) {
+  // The step loop looks a thread's phase up once per phase run rather
+  // than once per step, bracketing each run by search.  Short traces
+  // that wrap inside the window must still account every step's own
+  // phaseAt bytes.  Thread 0's long first phase lets a search probe jump
+  // past its two short phases into the next period's first phase (step
+  // 31, one period-offset below the run's start at step 16): the probe
+  // matches by phase, and only its fallen offset shows the wrap.
+  const std::vector<std::vector<Seconds>> durations = {
+      {0.09, 0.006, 0.006}, {0.013, 0.029, 0.007}, {0.0066, 0.0066}, {1.0}};
+  std::vector<ThreadProfile> threads;
+  for (std::size_t k = 0; k < durations.size(); ++k) {
+    std::vector<ThreadPhase> phases;
+    for (std::size_t j = 0; j < durations[k].size(); ++j) {
+      ThreadPhase p;
+      p.duration = durations[k][j];
+      p.dynamicPower = 1.0 + 0.5 * static_cast<double>(j);
+      p.dutyCycle = 0.1 + 0.2 * static_cast<double>(j);
+      p.ipc = 0.5 + 0.25 * static_cast<double>(j) + 0.1 * static_cast<double>(k);
+      phases.push_back(p);
+    }
+    threads.emplace_back(std::move(phases), 1.0e9);
+  }
+  WorkloadMix mix;
+  mix.applications.emplace_back("phased", threads, 1);
+  const int cores[] = {0, 5, 10, 15};
+  Mapping m(16);
+  for (int k = 0; k < 4; ++k) m.assign({0, k}, cores[k], 1.0e9);
+
+  EpochConfig ec;
+  ec.window = 1.0;
+  ec.dtm.tsafe = 1000.0;  // no DTM: each thread stays on its core
+  const EpochSimulator sim(system_.chip(), system_.thermal(),
+                           system_.leakage(), ec);
+  const EpochResult r = sim.run(m, mix);
+  ASSERT_EQ(r.dtm.events(), 0);
+
+  std::vector<double> duty(4, 0.0);
+  double ips = 0.0;
+  for (int s = 0; s < r.totalSteps; ++s)
+    for (int k = 0; k < 4; ++k) {
+      const ThreadPhase& p = threads[static_cast<std::size_t>(k)].phaseAt(
+          s * ec.step);
+      duty[static_cast<std::size_t>(k)] += p.dutyCycle;
+      ips += p.ipc * 1.0e9;
+    }
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int k = 0; k < 4; ++k)
+    EXPECT_EQ(bits(r.duty[static_cast<std::size_t>(cores[k])]),
+              bits(duty[static_cast<std::size_t>(k)] / r.totalSteps))
+        << "thread " << k;
+  EXPECT_EQ(bits(r.achievedIps), bits(ips / r.totalSteps));
+}
+
 TEST_F(EpochFixture, HealthAdvanceAllIsAllocationFree) {
   if (!allocCounterActive()) {
     GTEST_SKIP() << "allocation counter compiled out (sanitizer build)";
@@ -919,6 +974,10 @@ TEST(EpochSimulator, WindowBytesArePinned) {
     const EpochResult r = check({"dtm active", 0x5aa89a4df1a27454ull}, sim,
                                 scatterMapping(mix, system.chip(), 8), mix);
     EXPECT_GT(r.dtm.events(), 0);
+    // The step loop reuses each core's phase in the accounting unless
+    // the DTM migrated a thread in that step; a migration here makes a
+    // stale reuse change this window's digest.
+    EXPECT_GT(r.dtm.migrations, 0);
   }
   {
     // Noisy sensors near Tsafe: the DTM reacts to the noisy readings and

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -567,16 +570,22 @@ TEST(SolverPaths, RcmOrderingShrinksModelBandwidth) {
   EXPECT_LT(rcm, natural / 2);
 }
 
-// --- Blocked banded kernels (§3.13) --------------------------------------
+// --- Envelope sweeps (§3.13) ---------------------------------------------
 
 /// Random symmetric diagonally dominant matrix with all nonzeros inside
-/// |i-j| <= band — the class BandedFactorization is valid for.
-SparseMatrix randomBandedSpd(int n, int band, Rng& rng) {
+/// |i-j| <= band — the class BandedFactorization is valid for.  Each
+/// off-diagonal pair is dropped with probability `skip`, and the rows
+/// split into `components` consecutive blocks with no coupling between
+/// them, so the pattern can be disconnected.
+SparseMatrix randomBandedSpd(int n, int band, double skip, int components,
+                             Rng& rng) {
   SparseMatrixBuilder builder(n, n);
   std::vector<double> rowAbs(static_cast<std::size_t>(n), 0.0);
+  const int blockSize = (n + components - 1) / components;
   for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j <= std::min(n - 1, i + band); ++j) {
-      if (rng.uniform() < 0.4) continue;  // keep the pattern irregular
+    const int blockEnd = std::min(n, (i / blockSize + 1) * blockSize);
+    for (int j = i + 1; j <= std::min(blockEnd - 1, i + band); ++j) {
+      if (rng.uniform() < skip) continue;  // keep the pattern irregular
       const double v = rng.uniform(-2.0, 2.0);
       builder.add(i, j, v);
       builder.add(j, i, v);
@@ -590,73 +599,175 @@ SparseMatrix randomBandedSpd(int n, int band, Rng& rng) {
   return builder.build();
 }
 
-TEST(BlockedSweeps, PermutedSolveMatchesReferenceSweepFuzz) {
-  // Property fuzz over random sizes and band widths: the fused-permute
-  // jammed sweep (solvePermuted) must reproduce the reference
-  // pack -> solveInPlace -> unpack path bit for bit.
-  Rng rng(2024);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int n = 1 + rng.uniformInt(40);
-    const int band = rng.uniformInt(std::min(n, 9));
-    const SparseMatrix a = randomBandedSpd(n, band, rng);
-    const BandedFactorization lu(a, band);
-    // A random permutation exercises the fused gather/scatter.
-    std::vector<int> perm(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = i;
-    for (int i = n - 1; i > 0; --i)
-      std::swap(perm[static_cast<std::size_t>(i)],
-                perm[static_cast<std::size_t>(rng.uniformInt(i + 1))]);
-    // NOTE: solvePermuted solves the *factored* matrix with a permuted
-    // RHS view; the reference does the same by hand.
-    Vector b(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-      b[static_cast<std::size_t>(i)] = rng.uniform(-5.0, 5.0);
+/// The reference every envelope sweep must reproduce: forward and back
+/// substitution over every in-band term |i-j| <= band in ascending j,
+/// reading only the factors — independent of the library's sweeps.
+Vector fullBandSolve(const BandedFactorization& lu, Vector y) {
+  const int n = lu.size();
+  const int band = lu.band();
+  for (int i = 0; i < n; ++i) {
+    double acc = y[static_cast<std::size_t>(i)];
+    for (int j = std::max(0, i - band); j < i; ++j)
+      acc -= lu.factor(i, j) * y[static_cast<std::size_t>(j)];
+    y[static_cast<std::size_t>(i)] = acc;
+  }
+  for (int i = n - 1; i >= 0; --i) {
+    double acc = y[static_cast<std::size_t>(i)];
+    for (int j = i + 1; j <= std::min(n - 1, i + band); ++j)
+      acc -= lu.factor(i, j) * y[static_cast<std::size_t>(j)];
+    y[static_cast<std::size_t>(i)] = acc / lu.factor(i, i);
+  }
+  return y;
+}
 
-    Vector reference(static_cast<std::size_t>(n));
+std::uint64_t bitsOf(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// One fuzz case: a factored solver plus the permutation its sweeps
+/// gather through.  Trials cycle through a random permutation (wide,
+/// irregular envelopes), the identity, and the solver's own RCM order
+/// (which visits disconnected components one after the other).
+struct SweepCase {
+  int n = 0;
+  int components = 1;
+  std::unique_ptr<RcSolver> solver;
+
+  SweepCase(int trial, Rng& rng) {
+    n = 1 + rng.uniformInt(40);
+    const int band = rng.uniformInt(std::min(n, 9));
+    const double skip = trial % 2 == 0 ? 0.4 : 0.85;
+    components = 1 + rng.uniformInt(3);
+    const SparseMatrix a = randomBandedSpd(n, band, skip, components, rng);
+    std::vector<int> perm;  // empty: RCM
+    if (trial % 3 != 2) {
+      perm.resize(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = i;
+      if (trial % 3 == 0)
+        for (int i = n - 1; i > 0; --i)
+          std::swap(perm[static_cast<std::size_t>(i)],
+                    perm[static_cast<std::size_t>(rng.uniformInt(i + 1))]);
+    }
+    solver = std::make_unique<RcSolver>(a, std::move(perm),
+                                        RcSolver::Mode::Banded);
+  }
+
+  const BandedFactorization& lu() const { return *solver->banded(); }
+  const std::vector<int>& perm() const { return solver->permutation(); }
+
+  /// b gathered into the permuted domain, then the reference sweep.
+  Vector reference(const Vector& b) const {
+    Vector y(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
-      reference[static_cast<std::size_t>(i)] =
-          b[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])];
-    lu.solveInPlace(reference);
+      y[static_cast<std::size_t>(i)] =
+          b[static_cast<std::size_t>(perm()[static_cast<std::size_t>(i)])];
+    return fullBandSolve(lu(), std::move(y));
+  }
+};
+
+Vector randomRhs(int n, Rng& rng) {
+  Vector b(static_cast<std::size_t>(n));
+  for (double& v : b) v = rng.uniform(-5.0, 5.0);
+  return b;
+}
+
+TEST(BlockedSweeps, PermutedSolveMatchesReferenceSweepFuzz) {
+  // Property fuzz: the fused-permute four-row-jammed envelope sweep
+  // (solvePermuted) and the row-at-a-time envelope sweep (solveInPlace)
+  // must reproduce the full-band reference byte for byte.
+  Rng rng(2024);
+  int oddSizes = 0;
+  int zeroBands = 0;
+  int disconnected = 0;
+  int startsInsideJam = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const SweepCase c(trial, rng);
+    const BandedFactorization& lu = c.lu();
+    oddSizes += c.n % 4 != 0;
+    zeroBands += lu.band() == 0;
+    disconnected += c.components > 1 && trial % 3 == 2;
+    for (int r = 0; r < c.n; ++r)
+      startsInsideJam += r % 4 != 0 && lu.lowerStart(r) > r - r % 4;
+
+    const Vector b = randomRhs(c.n, rng);
+    const Vector reference = c.reference(b);
 
     Vector fused = b;
-    Vector scratch(static_cast<std::size_t>(n));
-    lu.solvePermuted(fused, scratch, perm);
-    for (int i = 0; i < n; ++i) {
-      const auto dst = static_cast<std::size_t>(perm[static_cast<std::size_t>(i)]);
-      EXPECT_EQ(fused[dst], reference[static_cast<std::size_t>(i)])
-          << "trial " << trial << " n=" << n << " band=" << band
+    Vector scratch(static_cast<std::size_t>(c.n));
+    lu.solvePermuted(fused, scratch, c.perm());
+    Vector inPlace(static_cast<std::size_t>(c.n));
+    for (int i = 0; i < c.n; ++i)
+      inPlace[static_cast<std::size_t>(i)] =
+          b[static_cast<std::size_t>(c.perm()[static_cast<std::size_t>(i)])];
+    lu.solveInPlace(inPlace);
+    for (int i = 0; i < c.n; ++i) {
+      const auto si = static_cast<std::size_t>(i);
+      const auto dst = static_cast<std::size_t>(c.perm()[si]);
+      ASSERT_EQ(bitsOf(fused[dst]), bitsOf(reference[si]))
+          << "trial " << trial << " n=" << c.n << " band=" << lu.band()
+          << " row " << i;
+      ASSERT_EQ(bitsOf(inPlace[si]), bitsOf(reference[si]))
+          << "trial " << trial << " n=" << c.n << " band=" << lu.band()
           << " row " << i;
     }
   }
+  // The fuzz reaches every shape the jammed kernel special-cases.
+  EXPECT_GT(oddSizes, 0);
+  EXPECT_GT(zeroBands, 0);
+  EXPECT_GT(disconnected, 0);
+  EXPECT_GT(startsInsideJam, 0);
 }
 
 TEST(BlockedSweeps, SolveManyPermutedMatchesPerRhsFuzz) {
   Rng rng(77);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int n = 1 + rng.uniformInt(32);
-    const int band = rng.uniformInt(std::min(n, 7));
+  for (int trial = 0; trial < 90; ++trial) {
+    const SweepCase c(trial, rng);
     const int count = 1 + rng.uniformInt(6);
-    const SparseMatrix a = randomBandedSpd(n, band, rng);
-    const RcSolver solver(a, {}, RcSolver::Mode::Banded);
-    std::vector<Vector> batch(static_cast<std::size_t>(count));
-    std::vector<Vector> singles(static_cast<std::size_t>(count));
-    for (int k = 0; k < count; ++k) {
-      Vector b(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i)
-        b[static_cast<std::size_t>(i)] = rng.uniform(-3.0, 3.0);
-      batch[static_cast<std::size_t>(k)] = b;
-      singles[static_cast<std::size_t>(k)] = b;
-    }
+    std::vector<Vector> batch;
+    for (int k = 0; k < count; ++k) batch.push_back(randomRhs(c.n, rng));
+    std::vector<Vector> references;
+    for (const Vector& b : batch) references.push_back(c.reference(b));
+
+    // Through the RcSolver wrapper, which sizes the interleaved scratch
+    // and calls solveManyPermuted.
     Vector scratch;
-    solver.solveManyInPlace(batch, scratch);
-    for (int k = 0; k < count; ++k) {
-      Vector s;
-      solver.solveInPlace(singles[static_cast<std::size_t>(k)], s);
-      for (int i = 0; i < n; ++i)
-        EXPECT_EQ(batch[static_cast<std::size_t>(k)][static_cast<std::size_t>(i)],
-                  singles[static_cast<std::size_t>(k)][static_cast<std::size_t>(i)])
+    c.solver->solveManyInPlace(batch, scratch);
+    for (int k = 0; k < count; ++k)
+      for (int i = 0; i < c.n; ++i) {
+        const auto si = static_cast<std::size_t>(i);
+        const auto dst = static_cast<std::size_t>(c.perm()[si]);
+        ASSERT_EQ(bitsOf(batch[static_cast<std::size_t>(k)][dst]),
+                  bitsOf(references[static_cast<std::size_t>(k)][si]))
             << "trial " << trial << " rhs " << k << " row " << i;
+      }
+  }
+}
+
+TEST(BlockedSweeps, TransientOperatorFactorsAreZeroOutsideTheEnvelope) {
+  // The sweeps skip every factor entry outside the recorded envelope;
+  // that is byte-safe only if each skipped entry is exactly +0.0.  On
+  // the RCM-ordered thermal operators the envelope is also strictly
+  // narrower than the band, which is where the saving comes from.
+  for (int edge : {4, 8, 16}) {
+    const ThermalModel m(paperConfig(edge, edge));
+    // The operator the epoch step loop solves with (EpochConfig's step).
+    const RcSolver& solver = m.transientOperator(6.6e-3).solver;
+    if (solver.usesDense()) GTEST_SKIP() << "dense reference selected";
+    const BandedFactorization& lu = *solver.banded();
+    const int n = lu.size();
+    long envelope = 0;
+    long bandEntries = 0;
+    for (int r = 0; r < n; ++r) {
+      const int lo = lu.lowerStart(r);
+      const int hi = lu.upperEnd(r);
+      envelope += (r - lo) + (hi - r);
+      for (int c = std::max(0, r - lu.band());
+           c <= std::min(n - 1, r + lu.band()); ++c) {
+        if (c != r) ++bandEntries;
+        if (c >= lo && c <= hi) continue;
+        ASSERT_EQ(bitsOf(lu.factor(r, c)), bitsOf(0.0))
+            << edge << "x" << edge << " entry (" << r << "," << c << ")";
+      }
     }
+    EXPECT_LT(envelope, bandEntries) << edge << "x" << edge;
   }
 }
 
