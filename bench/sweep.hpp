@@ -13,7 +13,7 @@
 //   HAYAT_CHIPS   — population size (default 25)
 //   HAYAT_HORIZON — simulated years (default 10)
 //   HAYAT_WORKERS — engine worker threads (default: hardware concurrency)
-//   HAYAT_NO_SWEEP_CACHE — set to disable the result cache
+//   HAYAT_NO_CACHE — set to disable the result cache
 #pragma once
 
 #include <string>

@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <sstream>
 
@@ -89,6 +90,23 @@ double FlagParser::getDouble(const std::string& name) const {
     return out;
   } catch (const std::exception&) {
     throw Error("flag --" + name + " expects a number, got '" + v + "'");
+  }
+}
+
+std::uint64_t FlagParser::getUint64(const std::string& name) const {
+  const std::string v = getString(name);
+  try {
+    // std::stoull would accept leading blanks and wrap a minus sign.
+    HAYAT_REQUIRE(
+        !v.empty() && std::isdigit(static_cast<unsigned char>(v[0])),
+        "not a whole number");
+    std::size_t pos = 0;
+    const std::uint64_t out = std::stoull(v, &pos);
+    HAYAT_REQUIRE(pos == v.size(), "trailing characters in integer flag");
+    return out;
+  } catch (const std::exception&) {
+    throw Error("flag --" + name + " expects a whole number, got '" + v +
+                "'");
   }
 }
 

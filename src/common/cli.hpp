@@ -5,6 +5,7 @@
 // the tools need a dozen flags, not a framework.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -31,6 +32,9 @@ class FlagParser {
   std::string getString(const std::string& name) const;
   int getInt(const std::string& name) const;
   double getDouble(const std::string& name) const;
+  /// A whole number of 0 or more: signs, unit suffixes ("10G") and
+  /// other trailing characters are rejected, not dropped.
+  std::uint64_t getUint64(const std::string& name) const;
   bool getBool(const std::string& name) const;
 
   /// True if the user supplied the flag explicitly.

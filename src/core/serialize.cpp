@@ -57,19 +57,4 @@ HealthMap loadHealthMapFile(const std::string& path) {
   return loadHealthMap(in);
 }
 
-void writeLifetimeCsv(std::ostream& out, const LifetimeResult& result) {
-  out << "startYear,dtmEvents,migrations,throttles,chipPeakK,"
-         "chipTimeAverageK,throttledSteps,totalSteps,chipFmaxHz,"
-         "averageFmaxHz,minHealth,averageHealth,throughputRatio\n";
-  out << std::setprecision(12);
-  for (const EpochRecord& e : result.epochs) {
-    out << e.startYear << ',' << e.dtmEvents << ',' << e.migrations << ','
-        << e.throttles << ',' << e.chipPeak << ',' << e.chipTimeAverage
-        << ',' << e.throttledSteps << ',' << e.totalSteps << ','
-        << e.chipFmax << ',' << e.averageFmax << ',' << e.minHealth << ','
-        << e.averageHealth << ',' << e.throughputRatio << '\n';
-  }
-  HAYAT_REQUIRE(out.good(), "lifetime CSV write failed");
-}
-
 }  // namespace hayat

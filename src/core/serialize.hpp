@@ -1,18 +1,17 @@
-// Persistence for run-time state and experiment outputs.
+// Persistence for run-time state.
 //
 // A deployed Hayat system must survive reboots: the paper's health map is
 // accumulated over *years*, so it has to be checkpointed (the aging
 // sensors only measure present degradation; the map also carries the
 // initial variation frequencies).  This module provides a small,
-// versioned, line-oriented text format for health maps plus CSV export of
-// lifetime results for external plotting.
+// versioned, line-oriented text format for health maps.  Per-epoch
+// results are exported by engine/reporter.hpp (writeEpochsCsv).
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
 #include "aging/health.hpp"
-#include "core/lifetime.hpp"
 
 namespace hayat {
 
@@ -26,9 +25,5 @@ HealthMap loadHealthMap(std::istream& in);
 /// Convenience: file-path overloads.
 void saveHealthMapFile(const std::string& path, const HealthMap& map);
 HealthMap loadHealthMapFile(const std::string& path);
-
-/// Writes a LifetimeResult as CSV: one row per epoch with all recorded
-/// metrics (header row included).
-void writeLifetimeCsv(std::ostream& out, const LifetimeResult& result);
 
 }  // namespace hayat

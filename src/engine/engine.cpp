@@ -17,45 +17,12 @@
 #include "engine/scheduler.hpp"
 #include "engine/wire.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/series.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace hayat::engine {
 
 namespace {
-
-/// Feeds every epoch of every run into the telemetry epoch series.
-/// Recording from the merged table (rather than inside the simulator)
-/// covers the local, distributed, and cache-hit paths with one code
-/// path, and keeps the series identical no matter which executed.
-void recordSweepSeries(const SweepTable& table) {
-  for (const RunResult& r : table.runs) {
-    for (std::size_t i = 0; i < r.lifetime.epochs.size(); ++i) {
-      const EpochRecord& e = r.lifetime.epochs[i];
-      telemetry::EpochRow row;
-      row.chip = r.chip;
-      row.repetition = r.repetition;
-      row.darkFraction = r.darkFraction;
-      row.policy = r.policy;
-      row.epochIndex = static_cast<int>(i);
-      row.startYear = e.startYear;
-      row.chipPeakK = e.chipPeak;
-      row.chipTimeAverageK = e.chipTimeAverage;
-      row.minHealth = e.minHealth;
-      row.averageHealth = e.averageHealth;
-      row.chipFmaxHz = e.chipFmax;
-      row.averageFmaxHz = e.averageFmax;
-      row.dtmEvents = e.dtmEvents;
-      row.migrations = e.migrations;
-      row.throttles = e.throttles;
-      row.throttledSteps = e.throttledSteps;
-      row.totalSteps = e.totalSteps;
-      row.throughputRatio = e.throughputRatio;
-      telemetry::EpochSeries::global().append(std::move(row));
-    }
-  }
-}
 
 /// Runs every task of `spec` on the lanes of a scheduler built for this
 /// call — one lane per endpoint slot, each degrading to its own thread
@@ -173,20 +140,6 @@ std::string ExperimentEngine::dispatchSpec() const {
   return "";
 }
 
-std::uint64_t ExperimentEngine::cacheMaxBytes() const {
-  if (config_.cacheMaxBytes > 0) return config_.cacheMaxBytes;
-  if (const char* env = std::getenv("HAYAT_CACHE_MAX_BYTES"))
-    if (*env) return std::strtoull(env, nullptr, 10);
-  return 0;
-}
-
-double ExperimentEngine::cacheMaxAgeSeconds() const {
-  if (config_.cacheMaxAgeSeconds >= 0.0) return config_.cacheMaxAgeSeconds;
-  if (const char* env = std::getenv("HAYAT_CACHE_MAX_AGE"))
-    if (*env) return std::strtod(env, nullptr);
-  return -1.0;
-}
-
 std::vector<RunTask> ExperimentEngine::expand(
     const ExperimentSpec& spec) const {
   HAYAT_REQUIRE(!spec.chips.empty(), "spec has no chips");
@@ -281,7 +234,6 @@ SweepTable ExperimentEngine::run(const ExperimentSpec& spec) const {
       // The local hit costs the remote fleet nothing, so spend a
       // connection warming each tcp worker's cache with it.
       pushCacheEntry(endpoints, cacheDir(), spec);
-      if (telemetry::enabled()) recordSweepSeries(*cached);
       return *std::move(cached);
     }
   }
@@ -311,11 +263,9 @@ SweepTable ExperimentEngine::run(const ExperimentSpec& spec) const {
     // so a coordinator restart against the same fleet starts warm even
     // if this host's cache directory is lost.
     if (onLanes) pushCacheEntry(endpoints, cacheDir(), spec);
-    const std::uint64_t maxBytes = cacheMaxBytes();
-    const double maxAge = cacheMaxAgeSeconds();
-    if (maxBytes > 0 || maxAge >= 0.0) {
-      const CacheEvictionStats ev =
-          evictResultCache(cacheDir(), maxBytes, maxAge);
+    if (config_.cacheMaxBytes > 0 || config_.cacheMaxAgeSeconds >= 0.0) {
+      const CacheEvictionStats ev = evictResultCache(
+          cacheDir(), config_.cacheMaxBytes, config_.cacheMaxAgeSeconds);
       if (ev.evictedByAge + ev.evictedBySize > 0) {
         std::fprintf(stderr,
                      "[engine] cache eviction: dropped %" PRIu64
@@ -326,7 +276,6 @@ SweepTable ExperimentEngine::run(const ExperimentSpec& spec) const {
       }
     }
   }
-  if (telemetry::enabled()) recordSweepSeries(table);
   return table;
 }
 

@@ -29,9 +29,6 @@
 //   HAYAT_WORKER_BIN — binary exec'd for "exec:N" workers (default: hayat)
 //   HAYAT_CACHE_DIR  — result-cache directory (default: ./hayat_cache)
 //   HAYAT_NO_CACHE   — disable the result cache entirely
-//   HAYAT_NO_SWEEP_CACHE — legacy alias of HAYAT_NO_CACHE
-//   HAYAT_CACHE_MAX_BYTES — evict oldest cache entries beyond this size
-//   HAYAT_CACHE_MAX_AGE   — evict cache entries older than this [seconds]
 //   HAYAT_TELEMETRY  — telemetry export directory (enables collection;
 //                      see src/telemetry/telemetry.hpp)
 #pragma once
@@ -89,7 +86,8 @@ struct SweepTable {
                         const std::string& denominator = "VAA") const;
 };
 
-/// Execution settings; zero values defer to the environment knobs above.
+/// Execution settings; zero values defer to the environment knobs above
+/// (the cache bounds have none).
 struct EngineConfig {
   int workers = 0;           ///< <= 0: HAYAT_WORKERS or hardware
   bool cache = true;         ///< overridden off by HAYAT_NO_CACHE
@@ -100,11 +98,11 @@ struct EngineConfig {
   /// canonical wire serialization).
   std::string dispatch;
   /// Cache size bound: after each store, oldest entries are evicted
-  /// until the directory fits.  0: HAYAT_CACHE_MAX_BYTES, else unbounded.
+  /// until the directory fits.  0: unbounded.
   std::uint64_t cacheMaxBytes = 0;
   /// Cache age bound [seconds]; entries older than this are evicted
   /// after each store.  0 evicts everything (the `--cache-max-age=0`
-  /// flush idiom); negative: HAYAT_CACHE_MAX_AGE, else unbounded.
+  /// flush idiom); negative: unbounded.
   double cacheMaxAgeSeconds = -1.0;
 };
 
@@ -137,9 +135,6 @@ class ExperimentEngine {
   bool cacheEnabled() const;
   std::string cacheDir() const;
   std::string dispatchSpec() const;
-  std::uint64_t cacheMaxBytes() const;
-  /// Negative when no age bound is configured (see EngineConfig).
-  double cacheMaxAgeSeconds() const;
 
  private:
   EngineConfig config_;

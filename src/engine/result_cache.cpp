@@ -146,8 +146,7 @@ std::string resolveCacheDir(const std::string& configured) {
 }
 
 bool resolveCacheEnabled(bool configured) {
-  return configured && std::getenv("HAYAT_NO_CACHE") == nullptr &&
-         std::getenv("HAYAT_NO_SWEEP_CACHE") == nullptr;
+  return configured && std::getenv("HAYAT_NO_CACHE") == nullptr;
 }
 
 void writeRunResult(std::ostream& out, const RunResult& r) {

@@ -11,9 +11,9 @@
 //
 // The cache directory defaults to `hayat_cache/` relative to the working
 // directory (i.e. under build/ for the usual cmake workflow) and is
-// overridden by HAYAT_CACHE_DIR; HAYAT_NO_CACHE (or its legacy alias
-// HAYAT_NO_SWEEP_CACHE) turns the cache off.  resolveCacheDir() and
-// resolveCacheEnabled() are the only readers of those three variables.
+// overridden by HAYAT_CACHE_DIR; HAYAT_NO_CACHE turns the cache off.
+// resolveCacheDir() and resolveCacheEnabled() are the only readers of
+// those two variables.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +48,7 @@ bool readRunResult(std::istream& in, RunResult& result);
 /// HAYAT_CACHE_DIR, else "hayat_cache".
 std::string resolveCacheDir(const std::string& configured = "");
 
-/// `configured`, forced off when HAYAT_NO_CACHE or HAYAT_NO_SWEEP_CACHE
-/// is set.
+/// `configured`, forced off when HAYAT_NO_CACHE is set.
 bool resolveCacheEnabled(bool configured = true);
 
 /// Cache file path for a spec inside `dir`.

@@ -1,12 +1,12 @@
 // Telemetry exporters and merge helpers.
 //
-// Three export formats, one per consumer:
+// Two export formats, one per consumer:
 //   - Prometheus text for metrics (scrape-compatible: # TYPE headers,
 //     cumulative _bucket{le=...} histogram lines, _sum/_count);
 //   - Chrome trace_event JSON for spans (load in chrome://tracing or
-//     Perfetto; one "X" complete event per span);
-//   - CSV for the epoch time series (series.hpp owns the binary format,
-//     this converts it).
+//     Perfetto; one "X" complete event per span).
+// The per-epoch trace is a result, not telemetry: engine/reporter.hpp
+// writes it (writeEpochsCsv) from the SweepTable.
 //
 // Merging: a distributed sweep produces one telemetry directory per
 // participating process plus worker counters that arrived over the wire.

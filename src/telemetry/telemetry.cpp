@@ -12,7 +12,6 @@
 
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/series.hpp"
 #include "telemetry/span.hpp"
 
 namespace hayat::telemetry {
@@ -74,11 +73,9 @@ void lockAllForFork() {
   Registry::global().lockForFork();
   state().mutex.lock();
   lockSpansForFork();
-  EpochSeries::global().lockForFork();
 }
 
 void unlockAllAfterFork() {
-  EpochSeries::global().unlockAfterFork();
   unlockSpansAfterFork();
   state().mutex.unlock();
   Registry::global().unlockAfterFork();
@@ -237,16 +234,6 @@ bool flush() {
                       std::ios::binary | std::ios::trunc);
     if (out) {
       writeChromeTrace(out, collectAllSpans(), ::getpid());
-      ok = ok && static_cast<bool>(out);
-    } else {
-      ok = false;
-    }
-  }
-  {
-    std::ofstream out(prefix + ".epochs.bin",
-                      std::ios::binary | std::ios::trunc);
-    if (out) {
-      writeEpochSeriesBinary(out, EpochSeries::global().rows());
       ok = ok && static_cast<bool>(out);
     } else {
       ok = false;

@@ -5,12 +5,13 @@
 //   hayat::telemetry::configure("/tmp/trace", "sweep");
 //
 // enables collection (see metrics.hpp / span.hpp) and registers an
-// atexit flush that writes three sibling files into the directory:
+// atexit flush that writes two sibling files into the directory:
 //
 //   <role>-<pid>.metrics.prom   Prometheus text metrics
 //   <role>-<pid>.trace.json     Chrome trace_event spans
-//   <role>-<pid>.epochs.bin     binary per-epoch time series
 //
+// The per-epoch trace is not telemetry: `--export` / HAYAT_EXPORT write
+// it from the result table (engine/reporter.hpp writeEpochsCsv).
 // The <role>-<pid> prefix keeps coordinator and worker processes from
 // clobbering each other when they share an export directory; `hayat
 // trace export` merges the set afterwards.  A std::terminate hook dumps
@@ -76,8 +77,8 @@ void resetWorkerCountersForTest();
 
 /// Registers, once per process, pthread_atfork handlers that hold every
 /// telemetry mutex across fork() — the mutexes added by holdAcrossFork(),
-/// then the metric registry, this runtime state, the span recorders and
-/// the epoch series, always in that order — so a child forked while
+/// then the metric registry, this runtime state and the span recorders,
+/// always in that order — so a child forked while
 /// another thread looks up a counter or fills a shared cache never
 /// inherits a locked mutex.  Worker spawning (worker_proc.hpp) calls it
 /// before its first fork.
@@ -89,7 +90,7 @@ void installForkHandlers();
 /// with another added mutex.
 void holdAcrossFork(std::mutex& mutex);
 
-/// Writes the three export files now.  Returns false if any file could
+/// Writes the two export files now.  Returns false if any file could
 /// not be written.  Called automatically at exit once configured;
 /// harmless to call again (files are rewritten in place).
 bool flush();

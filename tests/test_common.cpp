@@ -583,6 +583,24 @@ TEST(FlagParser, TypeErrorsThrow) {
   EXPECT_THROW(p.getInt("n"), Error);
   EXPECT_THROW(p.getDouble("n"), Error);
   EXPECT_THROW(p.getBool("n"), Error);
+  EXPECT_THROW(p.getUint64("n"), Error);
+}
+
+TEST(FlagParser, Uint64TakesOnlyWholeNumbers) {
+  FlagParser p("prog", "test");
+  p.addFlag("bytes", "byte count", "0");
+  const auto parsed = [&](const char* value) {
+    const char* argv[] = {"prog", "--bytes", value};
+    EXPECT_TRUE(p.parse(3, argv));
+    return p.getUint64("bytes");
+  };
+  EXPECT_EQ(parsed("0"), 0u);
+  EXPECT_EQ(parsed("10737418240"), 10737418240u);
+  EXPECT_EQ(parsed("18446744073709551615"), 18446744073709551615u);
+  // A unit suffix must not silently shrink "10G" to 10 bytes.
+  for (const char* bad : {"10G", "10 ", "1.5", "-1", "+1", " 1", "", "0x10",
+                          "18446744073709551616"})
+    EXPECT_THROW(parsed(bad), Error) << "'" << bad << "'";
 }
 
 TEST(FlagParser, HelpShortCircuits) {

@@ -967,7 +967,6 @@ TEST(CachePushTest, CoordinatorWarmsTcpWorkerCaches) {
   std::filesystem::remove_all(coordDir);
   std::filesystem::remove_all(workerDir);
   ::unsetenv("HAYAT_NO_CACHE");
-  ::unsetenv("HAYAT_NO_SWEEP_CACHE");
 
   int port = 0;
   const int listenFd = bindLoopback(port);

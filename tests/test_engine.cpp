@@ -7,6 +7,8 @@
 // a single EpochSimulator invocation.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -249,7 +251,6 @@ TEST(ExperimentEngineTest, ParallelRunsAreBitIdenticalToSerial) {
 TEST(ExperimentEngineTest, CacheHitPerformsZeroEpochSimulatorCalls) {
   // The engine env knobs must not leak into this test.
   ::unsetenv("HAYAT_NO_CACHE");
-  ::unsetenv("HAYAT_NO_SWEEP_CACHE");
   ::unsetenv("HAYAT_CACHE_DIR");
 
   const std::string dir = testing::TempDir() + "hayat_engine_cache_test";
@@ -461,7 +462,6 @@ TEST(CacheEvictionTest, MaxAgeZeroFlushesEverythingAndNegativeDisables) {
 
 TEST(ExperimentEngineTest, CacheMaxAgeZeroConfigFlushesAfterEveryRun) {
   ::unsetenv("HAYAT_NO_CACHE");
-  ::unsetenv("HAYAT_NO_SWEEP_CACHE");
   ::unsetenv("HAYAT_CACHE_DIR");
   const std::string dir = testing::TempDir() + "hayat_engine_flush_test";
   std::filesystem::remove_all(dir);
@@ -477,6 +477,50 @@ TEST(ExperimentEngineTest, CacheMaxAgeZeroConfigFlushesAfterEveryRun) {
   // The entry was stored, then the post-run eviction pass flushed it.
   EXPECT_FALSE(std::filesystem::exists(cachePath(dir, spec)));
   std::filesystem::remove_all(dir);
+}
+
+TEST(CliCacheFlags, MaxBytesWithAUnitSuffixExitsBeforeTouchingTheCache) {
+  // ctest runs from build/tests; the CLI binary lives in build/tools.
+  const std::filesystem::path binary =
+      std::filesystem::absolute("../tools/hayat");
+  if (!std::filesystem::exists(binary))
+    GTEST_SKIP() << "hayat CLI binary not found at " << binary;
+  ::unsetenv("HAYAT_NO_CACHE");
+  const std::string dir = testing::TempDir() + "hayat_engine_suffix_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string entry = dir + "/earlier-spec.csv";
+  const std::string entryBytes(100, 'x');
+  std::ofstream(entry, std::ios::binary) << entryBytes;
+  const std::string errPath = dir + ".stderr";
+
+  // Read leniently as 10 bytes, "10G" would evict every entry after the
+  // run, the one it just stored included.
+  const std::string command =
+      "HAYAT_CACHE_DIR='" + dir + "' '" + binary.string() +
+      "' sweep --chips 1 --years 0.25 --cache-max-bytes 10G > /dev/null 2> '" +
+      errPath + "'";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << command;
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  std::ifstream err(errPath);
+  std::ostringstream message;
+  message << err.rdbuf();
+  EXPECT_NE(message.str().find("--cache-max-bytes expects a whole number"),
+            std::string::npos)
+      << message.str();
+
+  // The cache directory is exactly as it was: nothing stored or evicted.
+  std::vector<std::string> names;
+  for (const auto& item : std::filesystem::directory_iterator(dir))
+    names.push_back(item.path().filename().string());
+  EXPECT_EQ(names, std::vector<std::string>{"earlier-spec.csv"});
+  std::ifstream kept(entry, std::ios::binary);
+  std::ostringstream keptBytes;
+  keptBytes << kept.rdbuf();
+  EXPECT_EQ(keptBytes.str(), entryBytes);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(errPath);
 }
 
 TEST(SweepTableTest, SelectAndAggregateRatio) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 
@@ -16,6 +19,10 @@
 #include "core/lifetime.hpp"
 #include "core/serialize.hpp"
 #include "core/system.hpp"
+#include "engine/builtin_policies.hpp"
+#include "engine/engine.hpp"
+#include "engine/reporter.hpp"
+#include "runtime/policy_registry.hpp"
 
 namespace hayat {
 namespace {
@@ -456,22 +463,46 @@ TEST(Serialize, RejectsCorruptCheckpoints) {
   EXPECT_THROW(loadHealthMap(badCount), Error);
 }
 
-TEST(Serialize, LifetimeCsvShape) {
-  System system = System::create(fastConfig(), 9);
-  HayatPolicy hayat;
-  const LifetimeSimulator sim(fastLifetime(0.5));
-  const LifetimeResult r = sim.run(system, hayat);
-  std::stringstream csv;
-  writeLifetimeCsv(csv, r);
-  std::string line;
-  ASSERT_TRUE(std::getline(csv, line));
-  EXPECT_NE(line.find("startYear"), std::string::npos);
-  int rows = 0;
-  while (std::getline(csv, line)) {
-    ++rows;
-    EXPECT_EQ(std::count(line.begin(), line.end(), ','), 12);
-  }
-  EXPECT_EQ(rows, static_cast<int>(r.epochs.size()));
+TEST(LifetimeCsv, IsTheEpochsCsvOfTheOneRunTable) {
+  // ctest runs from build/tests; the CLI binary lives in build/tools.
+  const std::filesystem::path binary =
+      std::filesystem::absolute("../tools/hayat");
+  if (!std::filesystem::exists(binary))
+    GTEST_SKIP() << "hayat CLI binary not found at " << binary;
+  const std::string csvPath = testing::TempDir() + "hayat_lifetime_test.csv";
+  std::filesystem::remove(csvPath);
+  const std::string command =
+      "'" + binary.string() +
+      "' lifetime --policy vaa --years 0.5 --epoch 0.25 --dark 0.25 "
+      "--seed 7 --chip 1 --workload-seed 5 --csv '" + csvPath +
+      "' > /dev/null";
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  std::ifstream in(csvPath, std::ios::binary);
+  ASSERT_TRUE(in.is_open());
+  std::ostringstream cliStream;
+  cliStream << in.rdbuf();
+  const std::string cliBytes = cliStream.str();
+  std::filesystem::remove(csvPath);
+
+  // The same run in-process, exported by the reporter as a one-run table.
+  System system = System::create(SystemConfig{}, 7, 1);
+  LifetimeConfig lc;
+  lc.horizon = 0.5;
+  lc.epochLength = 0.25;
+  lc.minDarkFraction = 0.25;
+  lc.workloadSeed = 5;
+  engine::registerBuiltinPolicies();
+  const auto policy = PolicyRegistry::global().make({"VAA", {}});
+  engine::SweepTable table;
+  table.runs.push_back(
+      engine::ExperimentEngine::runWithPolicy(system, lc, *policy, 1));
+  std::ostringstream expected;
+  engine::writeEpochsCsv(expected, table);
+
+  EXPECT_EQ(cliBytes, expected.str());
+  EXPECT_EQ(cliBytes.rfind("chip,repetition,darkFraction,policy,", 0), 0u);
+  EXPECT_EQ(std::count(cliBytes.begin(), cliBytes.end(), '\n'),
+            1 + static_cast<long>(table.runs.front().lifetime.epochs.size()));
 }
 
 TEST(Serialize, CheckpointContinuesAgingCorrectly) {

@@ -1,6 +1,5 @@
-// Telemetry subsystem: metrics math, span recording, the epoch-series
-// binary format, the exporters, and the end-to-end guarantees the rest
-// of the repo relies on.
+// Telemetry subsystem: metrics math, span recording, the exporters, and
+// the end-to-end guarantees the rest of the repo relies on.
 //
 // The two contracts that matter most sit at the end of the file:
 //
@@ -36,7 +35,6 @@
 #include "engine/worker_proc.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/series.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -238,97 +236,6 @@ TEST(SpanTest, CollectAllSpansMergesThreadsSortedByStart) {
   }
   EXPECT_TRUE(sawMain);
   EXPECT_TRUE(sawWorker);
-}
-
-// ----------------------------------------------------------- epoch series
-
-std::vector<EpochRow> seriesRows() {
-  EpochRow a;
-  a.chip = 3;
-  a.repetition = 1;
-  a.darkFraction = 0.25;
-  a.policy = "Hayat";
-  a.epochIndex = 2;
-  a.startYear = 0.5;
-  a.chipPeakK = 371.2;
-  a.chipTimeAverageK = 352.75;
-  a.minHealth = 1.0 / 3.0;
-  a.averageHealth = 0.99;
-  a.chipFmaxHz = 2.95e9;
-  a.averageFmaxHz = 2.85e9;
-  a.dtmEvents = 12;
-  a.migrations = 7;
-  a.throttles = 5;
-  a.throttledSteps = 4;
-  a.totalSteps = 64;
-  a.throughputRatio = 0.9375;
-  EpochRow b;  // defaults + empty policy label exercise the edge cases
-  b.policy = "";
-  b.throughputRatio = 0.1;
-  return {a, b};
-}
-
-TEST(EpochSeriesBinaryTest, RoundTripsExactly) {
-  const std::vector<EpochRow> rows = seriesRows();
-  std::stringstream buf;
-  writeEpochSeriesBinary(buf, rows);
-
-  std::vector<EpochRow> back;
-  ASSERT_TRUE(readEpochSeriesBinary(buf, back));
-  ASSERT_EQ(back.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(back[i].chip, rows[i].chip);
-    EXPECT_EQ(back[i].repetition, rows[i].repetition);
-    EXPECT_EQ(back[i].darkFraction, rows[i].darkFraction);
-    EXPECT_EQ(back[i].policy, rows[i].policy);
-    EXPECT_EQ(back[i].epochIndex, rows[i].epochIndex);
-    EXPECT_EQ(back[i].startYear, rows[i].startYear);
-    EXPECT_EQ(back[i].chipPeakK, rows[i].chipPeakK);
-    EXPECT_EQ(back[i].chipTimeAverageK, rows[i].chipTimeAverageK);
-    EXPECT_EQ(back[i].minHealth, rows[i].minHealth);
-    EXPECT_EQ(back[i].averageHealth, rows[i].averageHealth);
-    EXPECT_EQ(back[i].chipFmaxHz, rows[i].chipFmaxHz);
-    EXPECT_EQ(back[i].averageFmaxHz, rows[i].averageFmaxHz);
-    EXPECT_EQ(back[i].dtmEvents, rows[i].dtmEvents);
-    EXPECT_EQ(back[i].migrations, rows[i].migrations);
-    EXPECT_EQ(back[i].throttles, rows[i].throttles);
-    EXPECT_EQ(back[i].throttledSteps, rows[i].throttledSteps);
-    EXPECT_EQ(back[i].totalSteps, rows[i].totalSteps);
-    EXPECT_EQ(back[i].throughputRatio, rows[i].throughputRatio);
-  }
-}
-
-TEST(EpochSeriesBinaryTest, RejectsBadMagicVersionAndTruncation) {
-  std::stringstream good;
-  writeEpochSeriesBinary(good, seriesRows());
-  const std::string bytes = good.str();
-
-  std::vector<EpochRow> rows;
-  std::stringstream badMagic("XXXX" + bytes.substr(4));
-  EXPECT_FALSE(readEpochSeriesBinary(badMagic, rows));
-
-  std::string wrongVersion = bytes;
-  wrongVersion[4] = 99;
-  std::stringstream badVersion(wrongVersion);
-  EXPECT_FALSE(readEpochSeriesBinary(badVersion, rows));
-
-  std::stringstream truncated(bytes.substr(0, bytes.size() - 3));
-  EXPECT_FALSE(readEpochSeriesBinary(truncated, rows));
-  EXPECT_TRUE(rows.empty());  // partial reads are discarded
-}
-
-const char* const kGoldenEpochCsv =
-    R"gold(chip,repetition,darkFraction,policy,epochIndex,startYear,chipPeakK,chipTimeAverageK,minHealth,averageHealth,chipFmaxHz,averageFmaxHz,dtmEvents,migrations,throttles,throttledSteps,totalSteps,throughputRatio
-3,1,0.25,Hayat,2,0.5,371.19999999999999,352.75,0.33333333333333331,0.98999999999999999,2950000000,2850000000,12,7,5,4,64,0.9375
-0,0,0,,0,0,0,0,1,1,0,0,0,0,0,0,0,0.10000000000000001
-)gold";
-
-TEST(EpochSeriesCsvTest, BytesArePinned) {
-  std::ostringstream out;
-  writeEpochSeriesCsv(out, seriesRows());
-  ASSERT_FALSE(dumpIfRegen("epochs.csv", out.str()))
-      << "HAYAT_REGEN_GOLDEN is set; paste the dumped bytes";
-  EXPECT_EQ(out.str(), kGoldenEpochCsv);
 }
 
 // -------------------------------------------------------------- exporters

@@ -29,12 +29,13 @@
 //               given temperature and duty cycle
 //   trace       `trace export --telemetry-dir DIR [--out PREFIX]` merges
 //               the per-process telemetry exports of a (possibly
-//               distributed) run into one Prometheus file, one Chrome
-//               trace, and one epoch-series CSV
+//               distributed) run into one Prometheus file and one
+//               Chrome trace
 //
 // `--telemetry DIR` on any simulating subcommand enables the telemetry
-// subsystem (src/telemetry) and exports metrics, spans, and the epoch
-// time series into DIR at exit.
+// subsystem (src/telemetry) and exports metrics and spans into DIR at
+// exit.  The per-epoch trace is a result: `sweep --export` and
+// `lifetime --csv` write it with the reporter's writeEpochsCsv.
 //
 // Examples:
 //   hayat lifetime --policy hayat --dark 0.5 --years 10 --csv out.csv
@@ -75,7 +76,6 @@
 #include "runtime/policy_registry.hpp"
 #include "runtime/thermal_predictor.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/series.hpp"
 #include "telemetry/telemetry.hpp"
 #include "variation/population.hpp"
 #include "workload/generator.hpp"
@@ -117,10 +117,10 @@ int cmdLifetime(FlagParser& flags) {
   lc.mixChurn = flags.getDouble("churn");
   lc.incrementalRemap = flags.getBool("incremental");
   auto policy = makePolicy(flags.getString("policy"));
-  const LifetimeResult r =
-      engine::ExperimentEngine::runWithPolicy(system, lc, *policy,
-                                              flags.getInt("chip"))
-          .lifetime;
+  engine::SweepTable oneRun;
+  oneRun.runs.push_back(engine::ExperimentEngine::runWithPolicy(
+      system, lc, *policy, flags.getInt("chip")));
+  const LifetimeResult& r = oneRun.runs.front().lifetime;
 
   TextTable table({"year", "avg fmax [GHz]", "chip fmax [GHz]", "min health",
                    "Tpeak [K]", "DTM events"});
@@ -140,7 +140,8 @@ int cmdLifetime(FlagParser& flags) {
   if (flags.provided("csv")) {
     std::ofstream out(flags.getString("csv"));
     HAYAT_REQUIRE(out.is_open(), "cannot open CSV output file");
-    writeLifetimeCsv(out, r);
+    engine::writeEpochsCsv(out, oneRun);
+    HAYAT_REQUIRE(out.good(), "lifetime CSV write failed");
     std::printf("Per-epoch CSV written to %s\n",
                 flags.getString("csv").c_str());
   }
@@ -176,8 +177,7 @@ int cmdSweep(FlagParser& flags) {
   if (flags.provided("workers"))
     engineConfig.dispatch = flags.getString("workers");
   if (flags.provided("cache-max-bytes"))
-    engineConfig.cacheMaxBytes = std::strtoull(
-        flags.getString("cache-max-bytes").c_str(), nullptr, 10);
+    engineConfig.cacheMaxBytes = flags.getUint64("cache-max-bytes");
   if (flags.provided("cache-max-age"))
     engineConfig.cacheMaxAgeSeconds = flags.getDouble("cache-max-age");
   const engine::ExperimentEngine eng(engineConfig);
@@ -510,8 +510,7 @@ int cmdJob(FlagParser& flags) {
 
 /// `hayat trace export` — fold the per-process telemetry exports of one
 /// run (coordinator plus any proc:/exec: workers that shared the
-/// directory) into one Prometheus file, one validated Chrome trace, and
-/// one epoch-series CSV.
+/// directory) into one Prometheus file and one validated Chrome trace.
 int cmdTrace(FlagParser& flags) {
   const auto& pos = flags.positional();
   HAYAT_REQUIRE(pos.size() >= 2 && pos[1] == "export",
@@ -525,27 +524,23 @@ int cmdTrace(FlagParser& flags) {
       flags.provided("out") ? flags.getString("out") : dir + "/merged";
   const std::string promPath = prefix + ".metrics.prom";
   const std::string tracePath = prefix + ".trace.json";
-  const std::string epochPath = prefix + ".epochs.csv";
 
   auto endsWith = [](const std::string& s, const std::string& suffix) {
     return s.size() >= suffix.size() &&
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
   };
-  std::vector<std::string> promFiles, traceFiles, epochFiles;
+  std::vector<std::string> promFiles, traceFiles;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (!entry.is_regular_file()) continue;
     const std::string path = entry.path().string();
     // Re-exporting must not fold a previous merge back in.
-    if (path == promPath || path == tracePath || path == epochPath) continue;
+    if (path == promPath || path == tracePath) continue;
     if (endsWith(path, ".metrics.prom")) promFiles.push_back(path);
     if (endsWith(path, ".trace.json")) traceFiles.push_back(path);
-    if (endsWith(path, ".epochs.bin")) epochFiles.push_back(path);
   }
   std::sort(promFiles.begin(), promFiles.end());
   std::sort(traceFiles.begin(), traceFiles.end());
-  std::sort(epochFiles.begin(), epochFiles.end());
-  HAYAT_REQUIRE(!promFiles.empty() || !traceFiles.empty() ||
-                    !epochFiles.empty(),
+  HAYAT_REQUIRE(!promFiles.empty() || !traceFiles.empty(),
                 "no telemetry exports found in " + dir);
 
   if (!promFiles.empty()) {
@@ -569,22 +564,6 @@ int cmdTrace(FlagParser& flags) {
     out << merged.str();
     std::printf("Merged %zu trace file(s) into %s\n", traceFiles.size(),
                 tracePath.c_str());
-  }
-  if (!epochFiles.empty()) {
-    std::vector<telemetry::EpochRow> rows;
-    for (const std::string& path : epochFiles) {
-      std::ifstream in(path, std::ios::binary);
-      HAYAT_REQUIRE(in.is_open(), "cannot read " + path);
-      std::vector<telemetry::EpochRow> fileRows;
-      HAYAT_REQUIRE(telemetry::readEpochSeriesBinary(in, fileRows),
-                    "malformed epoch series: " + path);
-      rows.insert(rows.end(), fileRows.begin(), fileRows.end());
-    }
-    std::ofstream out(epochPath);
-    HAYAT_REQUIRE(out.is_open(), "cannot write " + epochPath);
-    telemetry::writeEpochSeriesCsv(out, rows);
-    std::printf("Converted %zu epoch series file(s) (%zu rows) into %s\n",
-                epochFiles.size(), rows.size(), epochPath.c_str());
   }
   return 0;
 }
@@ -652,7 +631,7 @@ int main(int argc, char** argv) {
                 "(0 picks one); GET /metrics on the same port returns "
                 "live Prometheus text");
   flags.addFlag("telemetry",
-                "enable telemetry and export metrics/trace/epoch series "
+                "enable telemetry and export metrics and trace spans "
                 "into this directory at exit");
   flags.addFlag("cache-max-bytes",
                 "sweep subcommand: evict oldest result-cache entries "
