@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/telemetry.hpp"
+#include "common/shared_memo.hpp"
 
 namespace hayat {
 
@@ -28,29 +27,12 @@ CorePathSet synthesizePaths(const ChipConfig& config, std::uint64_t seed) {
                                  config.elementsPerPath);
 }
 
-/// Process-wide cache of aging tables, shared between same-recipe chips.
-/// The paper calls the 3D table "only a start-up time effort for a given
-/// chip"; a sweep's tasks rebuild the *same* chip (identical config and
-/// seed) once per task, so without sharing every task pays the full
-/// table-generation cost again.  Same idiom as the thermal model's
-/// SharedTransientCache: strong references with a small LRU cap.
-struct SharedAgingTableCache {
-  std::mutex mutex;
-  /// Most recently used at the back.
-  std::vector<std::pair<std::string, std::shared_ptr<const AgingTable>>>
-      entries;
-};
-
-SharedAgingTableCache& sharedAgingTableCache() {
-  static SharedAgingTableCache* cache = [] {
-    auto* c = new SharedAgingTableCache();  // never destroyed
-    telemetry::holdAcrossFork(c->mutex);    // forked workers read it
-    return c;
-  }();
-  return *cache;
-}
-
-constexpr std::size_t kSharedAgingTableCacheCap = 16;
+/// Aging tables shared between same-recipe chips: a sweep's tasks
+/// rebuild the *same* chip (identical config and seed) once per task.
+constexpr std::size_t kAgingTableMemoCap = 16;
+SharedMemo<AgingTable>& agingTableMemo = *new SharedMemo<AgingTable>(
+    kAgingTableMemoCap, "hayat_aging_table_shared_hits_total",
+    "hayat_aging_table_shared_misses_total");
 
 /// Exact (%a — no rounding) rendering of a double for the cache key.
 void appendExact(std::string& key, double v) {
@@ -93,43 +75,14 @@ std::shared_ptr<const AgingTable> obtainAgingTable(const ChipConfig& config,
   if (scalarAgingRequested())
     return std::make_shared<const AgingTable>(nbti, paths, config.agingTable);
 
-  const std::string key = agingTableKey(config, seed);
-  SharedAgingTableCache& shared = sharedAgingTableCache();
-  const std::scoped_lock lock(shared.mutex);
-  for (std::size_t i = 0; i < shared.entries.size(); ++i) {
-    if (shared.entries[i].first != key) continue;
-    auto entry = shared.entries[i];
-    shared.entries.erase(shared.entries.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-    shared.entries.push_back(entry);  // refresh LRU position
-    if (telemetry::enabled()) {
-      static telemetry::Counter& hits = telemetry::Registry::global().counter(
-          "hayat_aging_table_shared_hits_total");
-      hits.add();
-    }
-    return entry.second;
-  }
-
-  if (telemetry::enabled()) {
-    static telemetry::Counter& misses = telemetry::Registry::global().counter(
-        "hayat_aging_table_shared_misses_total");
-    misses.add();
-  }
-  auto table =
-      std::make_shared<const AgingTable>(nbti, paths, config.agingTable);
-  shared.entries.emplace_back(key, table);
-  if (shared.entries.size() > kSharedAgingTableCacheCap)
-    shared.entries.erase(shared.entries.begin());
-  return table;
+  return agingTableMemo.obtain(agingTableKey(config, seed), [&] {
+    return std::make_shared<const AgingTable>(nbti, paths, config.agingTable);
+  });
 }
 
 }  // namespace
 
-void Chip::clearSharedAgingTableCacheForTest() {
-  SharedAgingTableCache& shared = sharedAgingTableCache();
-  const std::scoped_lock lock(shared.mutex);
-  shared.entries.clear();
-}
+void Chip::clearSharedAgingTableCacheForTest() { agingTableMemo.clear(); }
 
 Chip::Chip(ChipConfig config, VariationMap variation, std::uint64_t seed)
     : floorplan_(config.floorplan),

@@ -399,52 +399,6 @@ void BandedFactorization::solvePermuted(Vector& x, Vector& scratch,
   }
 }
 
-void BandedFactorization::solveManyPermuted(std::vector<Vector>& xs,
-                                            double* scratch,
-                                            const std::vector<int>& perm) const {
-  const int count = static_cast<int>(xs.size());
-  if (count == 0) return;
-  HAYAT_DCHECK(static_cast<int>(perm.size()) == n_);
-  const auto stride = static_cast<std::size_t>(count);
-  const int* p = perm.data();
-  // Forward substitution with the gather fused into each row's first
-  // touch: lane k of row i starts from xs[k][perm[i]] instead of a
-  // pre-packed buffer.  Per RHS the subtraction order is the ascending-j
-  // envelope sequence of solveInPlace, so every lane matches a per-RHS
-  // solve bitwise.
-  for (int i = 0; i < n_; ++i) {
-    const double* li = row(i);
-    double* si = scratch + static_cast<std::size_t>(i) * stride;
-    const auto src = static_cast<std::size_t>(p[i]);
-    for (int k = 0; k < count; ++k)
-      si[k] = xs[static_cast<std::size_t>(k)][src];
-    for (int j = lowerStart_[static_cast<std::size_t>(i)]; j < i; ++j) {
-      const double lij = li[j];
-      const double* sj = scratch + static_cast<std::size_t>(j) * stride;
-      for (int k = 0; k < count; ++k) si[k] -= lij * sj[k];
-    }
-  }
-  // Back substitution with the scatter fused into each row's final
-  // divide: lane k's solution lands directly in xs[k][perm[i]].
-  for (int i = n_ - 1; i >= 0; --i) {
-    const double* ui = row(i);
-    double* si = scratch + static_cast<std::size_t>(i) * stride;
-    const int jEnd = upperEnd_[static_cast<std::size_t>(i)];
-    for (int j = i + 1; j <= jEnd; ++j) {
-      const double uij = ui[j];
-      const double* sj = scratch + static_cast<std::size_t>(j) * stride;
-      for (int k = 0; k < count; ++k) si[k] -= uij * sj[k];
-    }
-    const double diag = ui[i];
-    const auto dst = static_cast<std::size_t>(p[i]);
-    for (int k = 0; k < count; ++k) {
-      const double v = si[k] / diag;
-      si[k] = v;
-      xs[static_cast<std::size_t>(k)][dst] = v;
-    }
-  }
-}
-
 Vector BandedFactorization::solve(const Vector& b) const {
   Vector x = b;
   solveInPlace(x);
@@ -502,28 +456,6 @@ void RcSolver::solveInPlace(Vector& x, Vector& scratch) const {
   for (int i = 0; i < n_; ++i)
     x[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
         scratch[static_cast<std::size_t>(i)];
-}
-
-void RcSolver::solveManyInPlace(std::vector<Vector>& xs,
-                                Vector& scratch) const {
-  const int count = static_cast<int>(xs.size());
-  if (count == 0) return;
-  for (const Vector& x : xs)
-    HAYAT_REQUIRE(static_cast<int>(x.size()) == n_, "rhs size mismatch");
-  if (dense_ != nullptr) {
-    // Reference path: per-RHS dense solves (bitwise the A/B twin of the
-    // batched banded sweep below).
-    for (Vector& x : xs) solveInPlace(x, scratch);
-    return;
-  }
-
-  // Fused-permutation batched sweep: the gather and scatter ride the
-  // forward and backward substitutions themselves.
-  scratch.resize(static_cast<std::size_t>(n_) *
-                 static_cast<std::size_t>(count));
-  HAYAT_DCHECK(scratch.size() >= static_cast<std::size_t>(n_) *
-                                     static_cast<std::size_t>(count));
-  banded_->solveManyPermuted(xs, scratch.data(), perm_);
 }
 
 Vector RcSolver::solve(const Vector& b) const {

@@ -141,18 +141,6 @@ class BandedFactorization {
   void solvePermuted(Vector& x, Vector& scratch,
                      const std::vector<int>& perm) const;
 
-  /// Fused-permutation multi-RHS solve: `xs` holds one right-hand side
-  /// per vector, replaced by its solution.  The lanes run interleaved in
-  /// `scratch` (element i of lane k at scratch[i*xs.size() + k]); row
-  /// i's lane values are gathered from xs[k][perm[i]] by the forward
-  /// sweep and the back-substituted values scatter to xs[k][perm[i]].
-  /// Per RHS the substitution sequence is identical to solveInPlace, so
-  /// each solution is bitwise equal to a per-RHS solve.  `scratch` must
-  /// hold at least size() * xs.size() elements (the RcSolver wrapper
-  /// sizes and debug-asserts it).  No allocations.
-  void solveManyPermuted(std::vector<Vector>& xs, double* scratch,
-                         const std::vector<int>& perm) const;
-
   /// The envelope every sweep runs over: the first column of row r's
   /// nonzero L entries (r when the row has none) and the last column of
   /// its nonzero U entries (r when none).  Factor entries outside it are
@@ -224,14 +212,6 @@ class RcSolver {
   /// backend runs the fused-permutation blocked sweeps (§3.13): no
   /// separate permute passes, bitwise-identical results.
   void solveInPlace(Vector& x, Vector& scratch) const;
-
-  /// Solves A x = b for every vector in `xs` at once (each holds its b
-  /// on entry and its solution on return).  The banded backend packs the
-  /// permuted RHS interleaved into `scratch` and runs one multi-RHS
-  /// substitution sweep; the dense reference backend falls back to
-  /// per-RHS solves.  Either way each solution is bitwise equal to
-  /// calling solveInPlace per RHS.
-  void solveManyInPlace(std::vector<Vector>& xs, Vector& scratch) const;
 
   /// Convenience allocating solve.
   Vector solve(const Vector& b) const;

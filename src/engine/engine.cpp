@@ -116,8 +116,8 @@ ExperimentEngine::ExperimentEngine(EngineConfig config)
     : config_(std::move(config)) {
   registerBuiltinPolicies();
   // Benches/examples opt into telemetry via the environment; the CLI
-  // configures explicitly before constructing an engine (that call wins,
-  // configureFromEnv is a no-op without HAYAT_TELEMETRY).
+  // configures explicitly before constructing an engine, and that call
+  // wins (configureFromEnv is a no-op once configured).
   telemetry::configureFromEnv("engine");
 }
 
@@ -140,8 +140,7 @@ std::string ExperimentEngine::dispatchSpec() const {
   return "";
 }
 
-std::vector<RunTask> ExperimentEngine::expand(
-    const ExperimentSpec& spec) const {
+std::vector<RunTask> ExperimentEngine::expand(const ExperimentSpec& spec) {
   HAYAT_REQUIRE(!spec.chips.empty(), "spec has no chips");
   HAYAT_REQUIRE(!spec.darkFractions.empty(), "spec has no dark fractions");
   HAYAT_REQUIRE(!spec.policies.empty(), "spec has no policies");

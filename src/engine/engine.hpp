@@ -112,7 +112,7 @@ class ExperimentEngine {
 
   /// Deterministic task expansion, ordered chip-major:
   /// chips x darkFractions x policies x repetitions.
-  std::vector<RunTask> expand(const ExperimentSpec& spec) const;
+  static std::vector<RunTask> expand(const ExperimentSpec& spec);
 
   /// Runs (or loads from cache) the whole spec.
   SweepTable run(const ExperimentSpec& spec) const;

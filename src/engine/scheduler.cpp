@@ -182,7 +182,7 @@ std::shared_ptr<SpecRun> SweepScheduler::attach(const ExperimentSpec& spec,
   run->spec_ = spec;
   run->hash_ = hash;
   run->wirePayload_ = encodeSpec(spec);
-  run->tasks_ = ExperimentEngine().expand(spec);
+  run->tasks_ = ExperimentEngine::expand(spec);
   run->cells_.resize(run->tasks_.size());
   run->jobs_.insert(jobId);
   run->priority_ = priority;

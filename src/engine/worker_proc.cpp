@@ -183,7 +183,7 @@ int runWorkerLoop(int inFd, int outFd, int faultSlot) {
                    e.what());
       return false;
     }
-    served.tasks = ExperimentEngine().expand(served.spec);
+    served.tasks = ExperimentEngine::expand(served.spec);
     specs[specHash(served.spec)] = std::move(served);
     return true;
   };

@@ -168,9 +168,9 @@ void Registry::resetAllForTest() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-std::string encodeCounterDeltas(
-    std::map<std::string, std::uint64_t>& lastSent) {
-  const MetricsSnapshot snap = Registry::global().snapshot();
+std::string encodeCounterDeltas(std::map<std::string, std::uint64_t>& lastSent,
+                                const Registry& registry) {
+  const MetricsSnapshot snap = registry.snapshot();
   std::string out;
   for (const auto& [name, value] : snap.counters) {
     const std::uint64_t previous = lastSent[name];

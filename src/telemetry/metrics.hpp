@@ -155,8 +155,10 @@ class Registry {
 /// Encodes the counters that advanced since `lastSent` as "c,<name>,<d>"
 /// lines and updates `lastSent` to the current values — the payload
 /// workers piggyback on wire Result frames so the coordinator can merge
-/// a fleet's metrics without any shared filesystem.
-std::string encodeCounterDeltas(std::map<std::string, std::uint64_t>& lastSent);
+/// a fleet's metrics without any shared filesystem.  Reads `registry`
+/// (a test passes its own).
+std::string encodeCounterDeltas(std::map<std::string, std::uint64_t>& lastSent,
+                                const Registry& registry = Registry::global());
 
 /// Parses encodeCounterDeltas output; returns false on malformed input.
 bool decodeCounterDeltas(

@@ -143,7 +143,7 @@ std::string exportRole() {
 
 void configureFromEnv(const std::string& roleIfEnv) {
   const char* dir = std::getenv("HAYAT_TELEMETRY");
-  if (dir == nullptr || dir[0] == '\0') return;
+  if (dir == nullptr || dir[0] == '\0' || configured()) return;
   configure(dir, roleIfEnv);
 }
 

@@ -51,7 +51,8 @@ std::string exportDir();
 std::string exportRole();
 
 /// Reads HAYAT_TELEMETRY (export directory) and, if set and non-empty,
-/// calls configure(dir, roleIfEnv).  Lets forked/exec'd workers and
+/// calls configure(dir, roleIfEnv) — unless configure() already ran, so
+/// an explicit configuration wins.  Lets forked/exec'd workers and
 /// tests opt in without threading a flag through every entry point.
 void configureFromEnv(const std::string& roleIfEnv);
 

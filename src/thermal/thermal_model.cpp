@@ -1,13 +1,13 @@
 #include "thermal/thermal_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <utility>
 
 #include "common/error.hpp"
-#include "telemetry/metrics.hpp"
+#include "common/shared_memo.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace hayat {
 
@@ -25,38 +25,19 @@ std::string fmtSig(double v) {
   return buf;
 }
 
-/// Process-wide (geometry, dt) -> factored operator cache.  Sweeps build
-/// a fresh System (and so a fresh ThermalModel) per task, all with the
-/// same package; without sharing, every task would re-factor the same
-/// implicit-Euler matrix.  Strong references with a small LRU cap: the
-/// cache keeps recent operators alive across the serial task boundary
-/// where no model holds them.
-struct SharedTransientCache {
-  std::mutex mutex;
-  /// Most recently used at the back.
-  std::vector<std::pair<std::string,
-                        std::shared_ptr<const ThermalModel::TransientOperator>>>
-      entries;
-};
-
-SharedTransientCache& sharedTransientCache() {
-  static SharedTransientCache* cache = [] {
-    auto* c = new SharedTransientCache();  // never destroyed
-    telemetry::holdAcrossFork(c->mutex);   // forked workers read it
-    return c;
-  }();
-  return *cache;
-}
-
-constexpr std::size_t kSharedTransientCacheCap = 32;
+/// (geometry, dt, backend) -> factored operator, shared across models.
+/// Sweeps build a fresh System (and so a fresh ThermalModel) per task,
+/// all with the same package; without sharing, every task would
+/// re-factor the same implicit-Euler matrix.
+constexpr std::size_t kTransientMemoCap = 32;
+SharedMemo<ThermalModel::TransientOperator>& transientMemo =
+    *new SharedMemo<ThermalModel::TransientOperator>(
+        kTransientMemoCap, "hayat_thermal_lu_shared_hits_total",
+        "hayat_thermal_lu_shared_misses_total");
 
 }  // namespace
 
-void ThermalModel::clearSharedTransientCacheForTest() {
-  SharedTransientCache& shared = sharedTransientCache();
-  const std::scoped_lock lock(shared.mutex);
-  shared.entries.clear();
-}
+void ThermalModel::clearSharedTransientCacheForTest() { transientMemo.clear(); }
 
 ThermalModel::ThermalModel(ThermalConfig config)
     : config_(std::move(config)), cores_(config_.floorplan.coreCount()) {
@@ -153,15 +134,14 @@ void ThermalModel::build() {
   }
 
   sparse_ = builder.build();
-  g_ = sparse_.toDense();
   perm_ = reverseCuthillMcKee(sparse_);
   // The backend is resolved once per model so the steady solver, the
-  // transient operators, and the shared-cache key all agree.
+  // transient operators, and the memo key all agree.
   mode_ = denseSolverRequested() ? RcSolver::Mode::Dense
                                  : RcSolver::Mode::Banded;
   steadySolver_ = std::make_unique<RcSolver>(sparse_, perm_, mode_);
 
-  // Signature of everything that shaped g_ / cap_ / ambientLoad_ above:
+  // Signature of everything that shaped sparse_ / cap_ / ambientLoad_:
   // same signature implies identical matrices, so transient operators
   // are interchangeable across models.
   signature_ = std::to_string(grid.rows()) + "x" +
@@ -223,44 +203,15 @@ Vector ThermalModel::steadyStateCoreTemperatures(const Vector& corePower) const 
   return coreTemperatures(steadyState(corePower));
 }
 
-const ThermalModel::TransientOperator& ThermalModel::transientOperator(
-    Seconds dt) const {
+std::shared_ptr<const ThermalModel::TransientOperator>
+ThermalModel::transientOperator(Seconds dt) const {
   HAYAT_REQUIRE(dt > 0.0, "transient step must be positive");
-  const std::scoped_lock lock(transientMutex_);
-  for (const auto& op : transientCache_)
-    if (op->dt == dt) return *op;
-
-  // First time this model sees `dt`: consult the process-wide cache so
-  // Systems with identical thermal geometry reuse one factorization.
   // The backend is part of the key so banded and dense-reference runs
   // in one process never hand each other the wrong operator.
   const std::string key =
       signature_ + "|dt=" + fmtSig(dt) +
       (mode_ == RcSolver::Mode::Dense ? "|solver=dense" : "|solver=band");
-  SharedTransientCache& shared = sharedTransientCache();
-  const std::scoped_lock sharedLock(shared.mutex);
-  for (std::size_t i = 0; i < shared.entries.size(); ++i) {
-    if (shared.entries[i].first != key) continue;
-    auto entry = shared.entries[i];
-    shared.entries.erase(shared.entries.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-    shared.entries.push_back(entry);  // refresh LRU position
-    if (telemetry::enabled()) {
-      static telemetry::Counter& hits = telemetry::Registry::global().counter(
-          "hayat_thermal_lu_shared_hits_total");
-      hits.add();
-    }
-    transientCache_.push_back(entry.second);
-    return *transientCache_.back();
-  }
-
-  if (telemetry::enabled()) {
-    static telemetry::Counter& misses = telemetry::Registry::global().counter(
-        "hayat_thermal_lu_shared_misses_total");
-    misses.add();
-  }
-  std::shared_ptr<const TransientOperator> op;
-  {
+  return transientMemo.obtain(key, [&] {
     const telemetry::Span span("thermal.lu_factor");
     const int n = nodeCount();
     Vector capOverDt(static_cast<std::size_t>(n));
@@ -276,33 +227,23 @@ const ThermalModel::TransientOperator& ThermalModel::transientOperator(
         break;
       }
     }
-    op = std::make_shared<const TransientOperator>(dt, std::move(capOverDt),
-                                                   a, perm_, mode_);
-  }
-  shared.entries.emplace_back(key, op);
-  if (shared.entries.size() > kSharedTransientCacheCap)
-    shared.entries.erase(shared.entries.begin());
-  transientCache_.push_back(std::move(op));
-  return *transientCache_.back();
+    return std::make_shared<const TransientOperator>(dt, std::move(capOverDt),
+                                                     a, perm_, mode_);
+  });
 }
 
 const Matrix& ThermalModel::coreInfluenceMatrix() const {
   if (!influence_) {
     auto k = std::make_unique<Matrix>(cores_, cores_);
-    // One multi-RHS sweep over all unit loads: the factor band is
-    // traversed once for all columns instead of once per column.
-    std::vector<Vector> responses(
-        static_cast<std::size_t>(cores_),
-        Vector(static_cast<std::size_t>(nodeCount()), 0.0));
-    for (int j = 0; j < cores_; ++j)
-      responses[static_cast<std::size_t>(j)][static_cast<std::size_t>(j)] =
-          1.0;
+    Vector response(static_cast<std::size_t>(nodeCount()));
     Vector scratch;
-    steadySolver_->solveManyInPlace(responses, scratch);
-    for (int j = 0; j < cores_; ++j)
+    for (int j = 0; j < cores_; ++j) {
+      std::fill(response.begin(), response.end(), 0.0);
+      response[static_cast<std::size_t>(j)] = 1.0;
+      steadySolver_->solveInPlace(response, scratch);
       for (int i = 0; i < cores_; ++i)
-        (*k)(i, j) =
-            responses[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
+        (*k)(i, j) = response[static_cast<std::size_t>(i)];
+    }
     influence_ = std::move(k);
   }
   return *influence_;

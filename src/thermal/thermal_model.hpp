@@ -25,7 +25,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -119,9 +118,6 @@ class ThermalModel {
   /// copy on the policy's critical path).
   const InfluenceProfile& coreInfluenceProfile() const;
 
-  /// Dense copy of the conductance matrix (tests and reference paths).
-  const Matrix& conductance() const { return g_; }
-
   /// The assembled conductance matrix in CSR form — what the solvers
   /// actually factor.
   const SparseMatrix& conductanceSparse() const { return sparse_; }
@@ -142,7 +138,7 @@ class ThermalModel {
   /// The factored implicit-Euler operator (C/dt + G) for a fixed step.
   /// The conductance matrix is constant for the lifetime of the model, so
   /// the factorization only depends on dt (and on the solver backend,
-  /// which is part of the shared-cache key).
+  /// which is part of the memo key).
   struct TransientOperator {
     Seconds dt = 0.0;
     Vector capOverDt;  ///< per-node C/dt [W/K]
@@ -156,23 +152,19 @@ class ThermalModel {
           solver(a, std::move(perm), mode) {}
   };
 
-  /// Returns the cached (C/dt + G) factorization for `dt`, building it on
-  /// first use.  Epoch windows re-create their TransientSolver per
-  /// lifetime run but always with the same step size, so the LU — the
-  /// hottest setup cost on the simulation path — factors once per
-  /// (geometry, dt) instead of once per solver.  The cache is two-level:
-  /// a per-model list, then a process-wide LRU keyed by configSignature()
-  /// so distinct System instances with identical thermal geometry (every
-  /// task of a sweep) share one factorization.  Thread-safe; the returned
-  /// reference stays valid for the model's lifetime.
-  const TransientOperator& transientOperator(Seconds dt) const;
+  /// Returns the (C/dt + G) factorization for `dt`, building it on first
+  /// use.  Operators live in a process-wide memo keyed by
+  /// configSignature(), dt and the solver backend, so distinct models
+  /// with identical thermal geometry (every task of a sweep) share one
+  /// factorization.  Thread-safe.
+  std::shared_ptr<const TransientOperator> transientOperator(Seconds dt) const;
 
   /// Canonical encoding of every ThermalConfig field that influences the
   /// RC network — equal signatures mean interchangeable operators.
   const std::string& configSignature() const { return signature_; }
 
-  /// Empties the process-wide transient-operator cache (tests only;
-  /// operators still referenced by live models stay valid).
+  /// Empties the process-wide transient-operator memo (tests only;
+  /// operators still held by solvers stay valid).
   static void clearSharedTransientCacheForTest();
 
  private:
@@ -180,7 +172,6 @@ class ThermalModel {
 
   ThermalConfig config_;
   int cores_ = 0;
-  Matrix g_;            ///< dense copy of sparse_, for tests/reference
   SparseMatrix sparse_;
   std::vector<int> perm_;  ///< RCM ordering, shared by all solvers
   Vector cap_;
@@ -190,9 +181,6 @@ class ThermalModel {
   std::unique_ptr<RcSolver> steadySolver_;
   mutable std::unique_ptr<Matrix> influence_;  // lazily computed
   mutable std::unique_ptr<InfluenceProfile> influenceProfile_;  // lazy
-  mutable std::mutex transientMutex_;
-  mutable std::vector<std::shared_ptr<const TransientOperator>>
-      transientCache_;
 };
 
 }  // namespace hayat

@@ -7,7 +7,7 @@
 namespace hayat {
 
 TransientSolver::TransientSolver(const ThermalModel& model, Seconds dt)
-    : model_(&model), dt_(dt), op_(&model.transientOperator(dt)) {}
+    : model_(&model), dt_(dt), op_(model.transientOperator(dt)) {}
 
 Vector TransientSolver::step(const Vector& nodeTemperatures,
                              const Vector& corePower) const {

@@ -5,10 +5,12 @@
 // Implicit (backward) Euler is unconditionally stable, so one LU
 // factorization of (C/dt + G) supports millisecond steps across the whole
 // window regardless of the stiff sink/die time-constant spread.  The
-// factorization itself lives in the ThermalModel's per-dt cache, so
-// constructing a solver per epoch window (or per lifetime run) does not
-// re-factor the fixed conductance matrix.
+// factorization comes from the process-wide operator memo
+// (ThermalModel::transientOperator), so constructing a solver per
+// lifetime run does not re-factor the fixed conductance matrix.
 #pragma once
+
+#include <memory>
 
 #include "common/matrix.hpp"
 #include "thermal/thermal_model.hpp"
@@ -19,7 +21,7 @@ namespace hayat {
 ///
 /// The system  C dT/dt = P + b - G T  is discretized as
 ///     (C/dt + G) T_{n+1} = (C/dt) T_n + P + b
-/// and (C/dt + G) is factored once at construction.
+/// and the factored (C/dt + G) is fetched once at construction.
 class TransientSolver {
  public:
   /// Prepares the integrator for a fixed step size [s].
@@ -49,7 +51,7 @@ class TransientSolver {
  private:
   const ThermalModel* model_;
   Seconds dt_;
-  const ThermalModel::TransientOperator* op_;  ///< owned by the model
+  std::shared_ptr<const ThermalModel::TransientOperator> op_;
 };
 
 }  // namespace hayat

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "telemetry/telemetry.hpp"
+#include "common/shared_memo.hpp"
 #include "variation/spatial_field.hpp"
 
 namespace hayat {
@@ -59,29 +58,17 @@ std::vector<double> samplePositiveField(const SpatialFieldSampler& sampler,
               "sigmaFraction is unphysically large");
 }
 
-/// Process-wide cache of factored samplers.  The Cholesky factor is a
-/// pure function of the field config and dominates population cost (the
-/// factorization is cubic in grid points); every sweep task regenerates
-/// its chip from the same config, so the factor is shared and only the
-/// O(m^2) sampling runs per chip.  Sharing changes no results: the
-/// cached factor is bitwise the one a fresh construction would produce.
-struct SharedSamplerCache {
-  std::mutex mutex;
-  /// Most recently used at the back.
-  std::vector<std::pair<std::string, std::shared_ptr<const SpatialFieldSampler>>>
-      entries;
-};
-
-SharedSamplerCache& sharedSamplerCache() {
-  static SharedSamplerCache* cache = [] {
-    auto* c = new SharedSamplerCache();   // never destroyed
-    telemetry::holdAcrossFork(c->mutex);  // forked workers read it
-    return c;
-  }();
-  return *cache;
-}
-
-constexpr std::size_t kSharedSamplerCacheCap = 8;
+/// Factored samplers shared across sweep tasks.  The Cholesky factor is
+/// a pure function of the field config and dominates population cost
+/// (the factorization is cubic in grid points); every task regenerates
+/// its chip from the same config, so only the O(m^2) sampling runs per
+/// chip.  Sharing changes no results: the shared factor is bitwise the
+/// one a fresh construction would produce.
+constexpr std::size_t kSamplerMemoCap = 8;
+SharedMemo<SpatialFieldSampler>& samplerMemo =
+    *new SharedMemo<SpatialFieldSampler>(
+        kSamplerMemoCap, "hayat_variation_sampler_shared_hits_total",
+        "hayat_variation_sampler_shared_misses_total");
 
 std::string fieldKey(const SpatialFieldConfig& fc) {
   char buf[200];
@@ -92,34 +79,17 @@ std::string fieldKey(const SpatialFieldConfig& fc) {
   return buf;
 }
 
-std::shared_ptr<const SpatialFieldSampler> obtainSampler(
-    const SpatialFieldConfig& fc) {
-  const std::string key = fieldKey(fc);
-  SharedSamplerCache& shared = sharedSamplerCache();
-  const std::scoped_lock lock(shared.mutex);
-  for (std::size_t i = 0; i < shared.entries.size(); ++i) {
-    if (shared.entries[i].first != key) continue;
-    auto entry = shared.entries[i];
-    shared.entries.erase(shared.entries.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-    shared.entries.push_back(entry);  // refresh LRU position
-    return entry.second;
-  }
-  auto sampler = std::make_shared<const SpatialFieldSampler>(fc);
-  shared.entries.emplace_back(key, sampler);
-  if (shared.entries.size() > kSharedSamplerCacheCap)
-    shared.entries.erase(shared.entries.begin());
-  return sampler;
-}
-
 }  // namespace
 
 std::vector<VariationMap> generateChipPopulation(const PopulationConfig& config,
                                                  int count,
                                                  std::uint64_t seed) {
   HAYAT_REQUIRE(count >= 0, "negative population size");
+  const SpatialFieldConfig fc = fieldConfigFrom(config);
   const std::shared_ptr<const SpatialFieldSampler> samplerPtr =
-      obtainSampler(fieldConfigFrom(config));
+      samplerMemo.obtain(fieldKey(fc), [&] {
+        return std::make_shared<const SpatialFieldSampler>(fc);
+      });
   const SpatialFieldSampler& sampler = *samplerPtr;
   const VariationMapConfig mapConfig = mapConfigFrom(config);
   Rng root(seed);

@@ -13,7 +13,6 @@
 #include "aging/health.hpp"
 #include "aging/mttf.hpp"
 #include "aging/nbti_model.hpp"
-#include "aging/short_term.hpp"
 #include "common/error.hpp"
 
 namespace hayat {
@@ -414,69 +413,6 @@ TEST(Health, MapRejectsBadInputs) {
   EXPECT_THROW(HealthMap({1e9, -2e9}), Error);
   HealthMap hm({1e9});
   EXPECT_THROW(hm.health(1), Error);
-}
-
-// --- Short-term stress/recovery (Fig. 1a) -----------------------------------
-
-TEST(ShortTerm, StressGrowsShift) {
-  ShortTermNbti device;
-  EXPECT_DOUBLE_EQ(device.deltaVth(), 0.0);
-  device.stress(360.0, 3600.0);
-  EXPECT_GT(device.deltaVth(), 0.0);
-  EXPECT_GT(device.permanentDeltaVth(), 0.0);
-}
-
-TEST(ShortTerm, RecoveryIsPartial) {
-  // Fig. 1(a): "Since 100% recovery is not possible, the circuit's delay
-  // continuously increases over years."
-  ShortTermNbti device;
-  device.stress(360.0, 24.0 * 3600.0);
-  const double peak = device.deltaVth();
-  device.recover(1e9);  // essentially infinite recovery time
-  EXPECT_LT(device.deltaVth(), peak);
-  EXPECT_GT(device.deltaVth(), 0.0);
-  EXPECT_NEAR(device.deltaVth(), device.permanentDeltaVth(), 1e-15);
-}
-
-TEST(ShortTerm, RecoveryNeverIncreasesShift) {
-  ShortTermNbti device;
-  device.stress(370.0, 3600.0);
-  double prev = device.deltaVth();
-  for (int i = 0; i < 10; ++i) {
-    device.recover(100.0);
-    EXPECT_LE(device.deltaVth(), prev);
-    prev = device.deltaVth();
-  }
-}
-
-TEST(ShortTerm, LongTermEnvelopeOrderedByDuty) {
-  // Cycling at higher duty must accumulate more shift — the fine-grained
-  // counterpart of Eq. (7)'s d^(1/6) factor.
-  ShortTermNbti low, high;
-  low.runCycles(360.0, 10.0, 0.25, 2000);
-  high.runCycles(360.0, 10.0, 0.85, 2000);
-  EXPECT_GT(high.deltaVth(), low.deltaVth());
-}
-
-TEST(ShortTerm, FullDutyMatchesLongTermModel) {
-  // With no recovery intervals the permanent+recoverable total must track
-  // the d=1 Eq. (7) trajectory exactly.
-  ShortTermNbtiConfig cfg;
-  ShortTermNbti device(cfg);
-  const Seconds total = 30.0 * 24 * 3600;
-  device.stress(355.0, total);
-  const NbtiModel reference(cfg.longTerm);
-  EXPECT_NEAR(device.deltaVth(),
-              reference.deltaVth(355.0, 1.0, secondsToYears(total)), 1e-12);
-}
-
-TEST(ShortTerm, RejectsBadConfig) {
-  ShortTermNbtiConfig cfg;
-  cfg.permanentFraction = 0.0;
-  EXPECT_THROW(ShortTermNbti{cfg}, Error);
-  cfg.permanentFraction = 0.5;
-  cfg.recoveryTau = 0.0;
-  EXPECT_THROW(ShortTermNbti{cfg}, Error);
 }
 
 // --- HCI / combined aging (extension) ----------------------------------------

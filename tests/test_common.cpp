@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <string>
 
 #include "common/alloc_counter.hpp"
 #include "common/cli.hpp"
@@ -12,10 +14,12 @@
 #include "common/interp.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "common/shared_memo.hpp"
 #include "common/sparse.hpp"
 #include "common/statistics.hpp"
 #include "common/text_table.hpp"
 #include "common/units.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace hayat {
 namespace {
@@ -773,6 +777,63 @@ TEST(Sparse, BandedRejectsOutOfBandEntries) {
   const SparseMatrix m = b.build();
   EXPECT_THROW(BandedFactorization(m, 1), Error);
   EXPECT_NO_THROW(BandedFactorization(m, 3));
+}
+
+// --- SharedMemo ------------------------------------------------------------
+
+TEST(SharedMemo, BuildsOncePerKeyCountsAndEvictsLeastRecentlyUsed) {
+  // Never destroyed, like the production memos: its mutex stays
+  // registered for fork().
+  static SharedMemo<int>& memo = *new SharedMemo<int>(
+      2, "test_shared_memo_hits_total", "test_shared_memo_misses_total");
+  memo.clear();
+  const telemetry::Counter& hits =
+      telemetry::Registry::global().counter("test_shared_memo_hits_total");
+  const telemetry::Counter& misses =
+      telemetry::Registry::global().counter("test_shared_memo_misses_total");
+  const std::uint64_t hits0 = hits.value();
+  const std::uint64_t misses0 = misses.value();
+  int builds = 0;
+  const auto obtain = [&](const std::string& key, int value) {
+    return memo.obtain(key, [&] {
+      ++builds;
+      return std::make_shared<const int>(value);
+    });
+  };
+
+  telemetry::setEnabled(true);
+  const auto a = obtain("a", 1);
+  const auto b = obtain("b", 2);
+  EXPECT_EQ(obtain("a", -1), a);  // one build per key; "a" is now newest
+  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(hits.value() - hits0, 1u);
+  EXPECT_EQ(misses.value() - misses0, 2u);
+
+  // At the cap of 2, "c" evicts the least recently used entry, "b".
+  (void)obtain("c", 3);
+  EXPECT_EQ(obtain("a", -1), a);
+  EXPECT_EQ(builds, 3);
+  const auto b2 = obtain("b", 20);
+  EXPECT_EQ(builds, 4);
+  EXPECT_NE(b2, b);
+  EXPECT_EQ(*b2, 20);
+  EXPECT_EQ(*b, 2);  // the evicted value stays valid while held
+  EXPECT_EQ(hits.value() - hits0, 2u);
+  EXPECT_EQ(misses.value() - misses0, 4u);
+
+  // clear() drops every entry.
+  memo.clear();
+  const auto a2 = obtain("a", 5);
+  EXPECT_EQ(builds, 5);
+  EXPECT_EQ(*a2, 5);
+  EXPECT_EQ(*a, 1);
+  EXPECT_EQ(misses.value() - misses0, 5u);
+
+  // Counting happens only while telemetry is enabled.
+  telemetry::setEnabled(false);
+  EXPECT_EQ(obtain("a", -1), a2);
+  EXPECT_EQ(hits.value() - hits0, 2u);
+  memo.clear();
 }
 
 }  // namespace

@@ -220,8 +220,8 @@ TEST(WireCodecTest, SpecRoundTripPreservesSignatureHashAndName) {
   EXPECT_EQ(specSignature(decoded), specSignature(spec));
   EXPECT_EQ(specHash(decoded), specHash(spec));
   // The decoded spec expands to the same task product.
-  EXPECT_EQ(ExperimentEngine().expand(decoded).size(),
-            ExperimentEngine().expand(spec).size());
+  EXPECT_EQ(ExperimentEngine::expand(decoded).size(),
+            ExperimentEngine::expand(spec).size());
 }
 
 TEST(WireCodecTest, TaskAndTaskErrorRoundTrip) {
@@ -241,7 +241,7 @@ TEST(WireCodecTest, TaskAndTaskErrorRoundTrip) {
 
 TEST(WireCodecTest, ResultRoundTripsBitExactly) {
   const ExperimentSpec spec = testSpec();
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
+  const std::vector<RunTask> tasks = ExperimentEngine::expand(spec);
   const RunResult computed =
       ExperimentEngine::runTask(tasks[1], spec.populationSeed);
 
@@ -393,7 +393,7 @@ TEST(DispatchDeterminismTest, RetiredParamUnderProcWorkersFailsLikeInProcess) {
 
 TEST(ForkSafetyTest, WorkersForkedDuringCounterLookupsAllAnswer) {
   // A worker takes the metric registry mutex at start-up when telemetry
-  // is on, and the shared start-up cache mutexes in its first task.
+  // is on, and the start-up memo mutexes in its first task.
   // Were it forked while another thread held one of them, it would hang
   // there; the fork handlers hold them all across fork(), so each of
   // these workers answers its first task.
@@ -416,15 +416,22 @@ TEST(ForkSafetyTest, WorkersForkedDuringCounterLookupsAllAnswer) {
   telemetry::setEnabled(true);
   std::atomic<bool> done{false};
   std::thread lookups([&done, &spec] {
+    SystemConfig cycled = spec.system;
     for (std::uint64_t i = 0; !done.load(); ++i) {
       const telemetry::Span span("test.fork_probe");
       telemetry::Registry::global()
           .counter("hayat_test_fork_probe_" + std::to_string(i % 8))
           .add();
       (void)telemetry::workerCounters();
-      // 32 populations cycle through the 16-entry aging-table cache, so
+      // 32 populations cycle through the 16-entry aging-table memo, so
       // every create fills it under its mutex.
       (void)System::create(spec.system, spec.populationSeed + 1 + i % 32);
+      // 36 core grids cycle through the 8-entry sampler memo and the
+      // 32-entry transient-operator memo, so those fill and evict too.
+      cycled.population.coreGrid = GridShape(1 + static_cast<int>(i % 6),
+                                             1 + static_cast<int>(i / 6 % 6));
+      const System grid = System::create(cycled, spec.populationSeed);
+      (void)TransientSolver(grid.thermal(), cycled.epoch.step);
     }
   });
   int answered = 0;
@@ -631,7 +638,7 @@ void fuzzDecoder(const std::string& valid, Decode decode, FuzzBytes& fuzz) {
 TEST(WireFuzzTest, EveryDecoderSurvivesTruncationAndGarbage) {
   FuzzBytes fuzz(0x48617961745F5052ull);
   const ExperimentSpec spec = testSpec();
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
+  const std::vector<RunTask> tasks = ExperimentEngine::expand(spec);
   const RunResult computed =
       ExperimentEngine::runTask(tasks[0], spec.populationSeed);
 
@@ -797,7 +804,7 @@ int wrongIndexWorker(int fd) {
   Message msg;
   if (!readMessage(fd, msg) || msg.type != MsgType::Spec) return 1;
   const ExperimentSpec spec = decodeSpec(msg.payload);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
+  const std::vector<RunTask> tasks = ExperimentEngine::expand(spec);
   while (readMessage(fd, msg)) {
     if (msg.type == MsgType::Shutdown) return 0;
     if (msg.type != MsgType::Task) continue;

@@ -85,7 +85,7 @@ void expectIdentical(const SweepTable& a, const SweepTable& b) {
 TEST(ExperimentSpecTest, ExpandOrdersChipMajorAndResolvesSeeds) {
   ExperimentSpec spec = tinySpec();
   spec.repetitions = 2;
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
+  const std::vector<RunTask> tasks = ExperimentEngine::expand(spec);
   ASSERT_EQ(tasks.size(), 8u);  // 2 chips x 1 dark x 2 policies x 2 reps
 
   // chip-major, then dark, then policy, then repetition.

@@ -332,7 +332,7 @@ TEST(DistributionCacheTest, SpecHashSeparatesDistributionFromPointRuns) {
 
 TEST(DistributionCacheTest, RunRecordRoundTripsDistributionBitExactly) {
   const ExperimentSpec spec = distributionSpec(32, 99);
-  const std::vector<engine::RunTask> tasks = ExperimentEngine().expand(spec);
+  const std::vector<engine::RunTask> tasks = ExperimentEngine::expand(spec);
   const RunResult computed =
       ExperimentEngine::runTask(tasks[0], spec.populationSeed);
   ASSERT_TRUE(computed.lifetime.distribution.has_value());

@@ -112,32 +112,39 @@ TEST(HistogramTest, PercentileInterpolatesWithinBuckets) {
   EXPECT_DOUBLE_EQ(h.percentile(1.0), 20.0);
 }
 
+// Tests that register test_* metrics use a registry of their own: the
+// global one backs the /metrics body, whose samples must all be hayat_*
+// (MetricsEndpointGoldenTest) whatever ran before in this process.
+
 TEST(RegistryTest, LookupsAreStableReferences) {
-  Counter& a = Registry::global().counter("test_registry_stable_total");
-  Counter& b = Registry::global().counter("test_registry_stable_total");
+  Registry registry;
+  Counter& a = registry.counter("test_registry_stable_total");
+  Counter& b = registry.counter("test_registry_stable_total");
   EXPECT_EQ(&a, &b);
-  Histogram& h =
-      Registry::global().histogram("test_registry_stable_seconds", {1.0});
-  Histogram& h2 =
-      Registry::global().histogram("test_registry_stable_seconds", {99.0});
+  Histogram& h = registry.histogram("test_registry_stable_seconds", {1.0});
+  Histogram& h2 = registry.histogram("test_registry_stable_seconds", {99.0});
   EXPECT_EQ(&h, &h2);  // later bounds are ignored
   EXPECT_EQ(h.upperBounds(), std::vector<double>{1.0});
 }
 
 TEST(CounterDeltaCodecTest, EncodesOnlyAdvancesAndRoundTrips) {
-  Counter& c = Registry::global().counter("test_delta_codec_total");
+  Registry registry;
+  registry.counter("test_delta_codec_idle_total");
+  Counter& c = registry.counter("test_delta_codec_total");
+  c.add(2);
   std::map<std::string, std::uint64_t> lastSent;
-  encodeCounterDeltas(lastSent);  // baseline: absorb current values
+  encodeCounterDeltas(lastSent, registry);  // baseline: absorb current values
   c.add(7);
 
   std::vector<std::pair<std::string, std::uint64_t>> decoded;
-  ASSERT_TRUE(decodeCounterDeltas(encodeCounterDeltas(lastSent), decoded));
+  ASSERT_TRUE(decodeCounterDeltas(encodeCounterDeltas(lastSent, registry),
+                                  decoded));
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0].first, "test_delta_codec_total");
   EXPECT_EQ(decoded[0].second, 7u);
 
   // Nothing advanced since: the next delta payload is empty.
-  EXPECT_TRUE(encodeCounterDeltas(lastSent).empty());
+  EXPECT_TRUE(encodeCounterDeltas(lastSent, registry).empty());
 }
 
 TEST(CounterDeltaCodecTest, RejectsMalformedLines) {
@@ -594,7 +601,7 @@ SweepTable runLocal(const ExperimentSpec& spec) {
 
 TEST(WireResultMetricsTest, DeltasRideTheResultFrame) {
   const ExperimentSpec spec = testSpec();
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
+  const std::vector<RunTask> tasks = ExperimentEngine::expand(spec);
   const RunResult computed =
       ExperimentEngine::runTask(tasks[0], spec.populationSeed);
 
@@ -665,6 +672,27 @@ TEST(DispatchTelemetryTest, WorkerCounterDeltasMergeOnTheCoordinator) {
   ASSERT_NE(runs, workers.end());
   EXPECT_GE(runs->second, 1u);
   EXPECT_LE(runs->second, 4u);
+}
+
+TEST(TelemetryConfigTest, ExplicitConfigurationWinsOverTheEnvironment) {
+  // `--telemetry DIR` configures before any engine exists; an engine
+  // built afterwards (the scheduler and the worker loop build one) must
+  // not move the export to HAYAT_TELEMETRY or rename the role.
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("hayat_telemetry_config_" + std::to_string(::getpid()));
+  const std::string dirA = (root / "a").string();
+  const std::string dirB = (root / "b").string();
+  telemetry::configure(dirA, "sweep");
+  ::setenv("HAYAT_TELEMETRY", dirB.c_str(), 1);
+  (void)ExperimentEngine();
+  ::unsetenv("HAYAT_TELEMETRY");
+  const std::string dir = telemetry::exportDir();
+  const std::string role = telemetry::exportRole();
+  telemetry::setEnabled(false);  // configure() turned collection on
+  std::filesystem::remove_all(root);
+  EXPECT_EQ(dir, dirA);
+  EXPECT_EQ(role, "sweep");
 }
 
 }  // namespace

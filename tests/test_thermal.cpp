@@ -38,7 +38,7 @@ TEST(ThermalModel, NodeLayout) {
 
 TEST(ThermalModel, ConductanceSymmetric) {
   const ThermalModel m(paperConfig(3, 3));
-  const Matrix& g = m.conductance();
+  const Matrix g = m.conductanceSparse().toDense();
   for (int i = 0; i < m.nodeCount(); ++i)
     for (int j = 0; j < m.nodeCount(); ++j)
       EXPECT_NEAR(g(i, j), g(j, i), 1e-15);
@@ -46,7 +46,7 @@ TEST(ThermalModel, ConductanceSymmetric) {
 
 TEST(ThermalModel, OffDiagonalsNonPositive) {
   const ThermalModel m(paperConfig(3, 3));
-  const Matrix& g = m.conductance();
+  const Matrix g = m.conductanceSparse().toDense();
   for (int i = 0; i < m.nodeCount(); ++i)
     for (int j = 0; j < m.nodeCount(); ++j)
       if (i != j) {
@@ -550,7 +550,7 @@ TEST(SolverPaths, GridModelBitwiseIdentical) {
 TEST(SolverPaths, SparseAssemblyMatchesDenseCopy) {
   const ThermalModel m(paperConfig(4, 4));
   const SparseMatrix& sparse = m.conductanceSparse();
-  const Matrix& dense = m.conductance();
+  const Matrix dense = sparse.toDense();
   ASSERT_EQ(sparse.rows(), dense.rows());
   for (int r = 0; r < sparse.rows(); ++r)
     for (int c = 0; c < sparse.cols(); ++c)
@@ -716,31 +716,6 @@ TEST(BlockedSweeps, PermutedSolveMatchesReferenceSweepFuzz) {
   EXPECT_GT(startsInsideJam, 0);
 }
 
-TEST(BlockedSweeps, SolveManyPermutedMatchesPerRhsFuzz) {
-  Rng rng(77);
-  for (int trial = 0; trial < 90; ++trial) {
-    const SweepCase c(trial, rng);
-    const int count = 1 + rng.uniformInt(6);
-    std::vector<Vector> batch;
-    for (int k = 0; k < count; ++k) batch.push_back(randomRhs(c.n, rng));
-    std::vector<Vector> references;
-    for (const Vector& b : batch) references.push_back(c.reference(b));
-
-    // Through the RcSolver wrapper, which sizes the interleaved scratch
-    // and calls solveManyPermuted.
-    Vector scratch;
-    c.solver->solveManyInPlace(batch, scratch);
-    for (int k = 0; k < count; ++k)
-      for (int i = 0; i < c.n; ++i) {
-        const auto si = static_cast<std::size_t>(i);
-        const auto dst = static_cast<std::size_t>(c.perm()[si]);
-        ASSERT_EQ(bitsOf(batch[static_cast<std::size_t>(k)][dst]),
-                  bitsOf(references[static_cast<std::size_t>(k)][si]))
-            << "trial " << trial << " rhs " << k << " row " << i;
-      }
-  }
-}
-
 TEST(BlockedSweeps, TransientOperatorFactorsAreZeroOutsideTheEnvelope) {
   // The sweeps skip every factor entry outside the recorded envelope;
   // that is byte-safe only if each skipped entry is exactly +0.0.  On
@@ -749,7 +724,8 @@ TEST(BlockedSweeps, TransientOperatorFactorsAreZeroOutsideTheEnvelope) {
   for (int edge : {4, 8, 16}) {
     const ThermalModel m(paperConfig(edge, edge));
     // The operator the epoch step loop solves with (EpochConfig's step).
-    const RcSolver& solver = m.transientOperator(6.6e-3).solver;
+    const auto op = m.transientOperator(6.6e-3);
+    const RcSolver& solver = op->solver;
     if (solver.usesDense()) GTEST_SKIP() << "dense reference selected";
     const BandedFactorization& lu = *solver.banded();
     const int n = lu.size();
