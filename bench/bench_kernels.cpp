@@ -39,7 +39,11 @@
 // A "thermal_breakdown" section (v4) splits the banded transient solve
 // of DESIGN.md §3.13: banded-RCM factor time, the standalone
 // gather/scatter permute cost that the fused sweep absorbs, and one
-// fused permute+forward+backward solve.
+// fused permute+forward+backward solve.  Since v7 each row also times
+// one implicit-Euler step per lane when 1, 2 or 4 lanes step together
+// (TransientSolver::stepLanes, the lockstep windows of §3.13); CI's
+// perf-smoke gate requires the 2-lane step at 8x8 to beat the 1-lane
+// one.
 //
 // A "failure_breakdown" section (v5) times the Monte Carlo lifetime
 // distribution of DESIGN.md §3.14 against its point-MTTF twin: the same
@@ -273,7 +277,29 @@ struct ThermalBreakdown {
   double permuteNs = 0.0;  ///< standalone gather+scatter through the RCM
                            ///< ordering — the copies the fused sweep absorbs
   double sweepNs = 0.0;    ///< one fused permute+forward+backward solve
+  /// One transient step per lane with 1, 2 and 4 lanes stepped together.
+  double laneStepNs[3] = {0.0, 0.0, 0.0};
 };
+
+/// Per-lane time of one TransientSolver::stepLanes call over `lanes`
+/// lanes at the alternate-core load.
+double timeLaneStep(const ThermalModel& model, int lanes, double minRepNs) {
+  const TransientSolver solver(model, 6.6e-3);
+  const Vector power = alternatePower(model.coreCount());
+  std::vector<Vector> temps(static_cast<std::size_t>(lanes),
+                            solver.initialState(power));
+  std::vector<Vector*> tempPointers;
+  std::vector<const Vector*> powerPointers;
+  for (Vector& t : temps) {
+    tempPointers.push_back(&t);
+    powerPointers.push_back(&power);
+  }
+  Vector scratch;
+  const auto step = [&] {
+    solver.stepLanes(tempPointers, powerPointers, scratch);
+  };
+  return timeNs(step, minRepNs, 5) / lanes;
+}
 
 ThermalBreakdown benchThermalBreakdown(int rows, int cols, double minRepNs) {
   ThermalBreakdown b;
@@ -306,6 +332,9 @@ ThermalBreakdown benchThermalBreakdown(int rows, int cols, double minRepNs) {
         solver.solveInPlace(x, scratch);
       },
       minRepNs, 5);
+  const int widths[] = {1, 2, 4};
+  for (int w = 0; w < 3; ++w)
+    b.laneStepNs[w] = timeLaneStep(model, widths[w], minRepNs);
   return b;
 }
 
@@ -466,7 +495,7 @@ void writeJson(const std::string& path, const std::string& mode,
   std::ofstream out(path);
   out << "{\n"
       << "  \"benchmark\": \"bench_kernels\",\n"
-      << "  \"version\": 6,\n"
+      << "  \"version\": 7,\n"
       << "  \"mode\": \"" << mode << "\",\n"
       << "  \"units\": \"nanoseconds\",\n"
       << "  \"results\": [\n";
@@ -512,9 +541,12 @@ void writeJson(const std::string& path, const std::string& mode,
     std::snprintf(buf, sizeof(buf),
                   "    {\"config\": \"%s\", \"nodes\": %d, "
                   "\"factor_ns\": %.1f, \"permute_ns\": %.1f, "
-                  "\"sweep_ns\": %.1f}%s\n",
+                  "\"sweep_ns\": %.1f, \"lane1_step_ns\": %.1f, "
+                  "\"lane2_step_ns\": %.1f, \"lane4_step_ns\": %.1f}%s\n",
                   t.config.c_str(), t.nodes, t.factorNs, t.permuteNs,
-                  t.sweepNs, i + 1 < thermalBreakdowns.size() ? "," : "");
+                  t.sweepNs, t.laneStepNs[0], t.laneStepNs[1],
+                  t.laneStepNs[2],
+                  i + 1 < thermalBreakdowns.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n"
@@ -591,10 +623,11 @@ int main(int argc, char** argv) {
   std::vector<Breakdown> breakdowns;
   for (const auto& [rows, cols] : breakdownGrids)
     breakdowns.push_back(benchLifetimeBreakdown(rows, cols, small ? 2 : 4));
-  // Thermal split: the same grids as the lifetime breakdown (no dense
-  // lane — cheap).
+  // Thermal split, with the per-lane step rows: 4x4, 8x8 and 16x16 in
+  // both modes (no dense lane — cheap; CI gates the 8x8 lane rows).
   std::vector<ThermalBreakdown> thermalBreakdowns;
-  for (const auto& [rows, cols] : breakdownGrids)
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<int, int>>{{4, 4}, {8, 8}, {16, 16}})
     thermalBreakdowns.push_back(
         benchThermalBreakdown(rows, cols, small ? 0.0 : minRepNs));
   // Failure Monte Carlo cost: always the 4x4 task at 256 samples (what
@@ -620,11 +653,13 @@ int main(int argc, char** argv) {
                 100.0 * b.fraction(b.thermalNs),
                 100.0 * b.fraction(b.otherNs()),
                 100.0 * b.fraction(b.baselineNs));
-  std::printf("\n%-20s %-10s %12s %12s %12s\n", "thermal-breakdown",
-              "config", "factor [ns]", "perm [ns]", "sweep [ns]");
+  std::printf("\n%-20s %-10s %12s %12s %12s %12s %12s %12s\n",
+              "thermal-breakdown", "config", "factor [ns]", "perm [ns]",
+              "sweep [ns]", "1-lane [ns]", "2-lane [ns]", "4-lane [ns]");
   for (const ThermalBreakdown& t : thermalBreakdowns)
-    std::printf("%-20s %-10s %12.0f %12.1f %12.1f\n", "", t.config.c_str(),
-                t.factorNs, t.permuteNs, t.sweepNs);
+    std::printf("%-20s %-10s %12.0f %12.1f %12.1f %12.1f %12.1f %12.1f\n", "",
+                t.config.c_str(), t.factorNs, t.permuteNs, t.sweepNs,
+                t.laneStepNs[0], t.laneStepNs[1], t.laneStepNs[2]);
   std::printf("\n%-20s %-10s %8s %12s %14s %9s %8s %8s\n",
               "failure-breakdown", "config", "samples", "point [ns]",
               "dist [ns]", "overhead", "em", "tddb");

@@ -399,6 +399,97 @@ void BandedFactorization::solvePermuted(Vector& x, Vector& scratch,
   }
 }
 
+template <int L>
+void BandedFactorization::solvePermutedLanes(
+    double* const* x, double* scratch, const std::vector<int>& perm) const {
+  static_assert(L == 2 || L == 4, "lane widths are 2 and 4");
+  constexpr std::size_t kLanes = L;
+  HAYAT_DCHECK(static_cast<int>(perm.size()) == n_);
+  double* s = scratch;
+  const int* p = perm.data();
+  const int* lo = lowerStart_.data();
+  // Forward substitution, rows jammed in pairs exactly as solvePermuted
+  // jams them in fours: private prefixes up to the later envelope start
+  // `jc`, one shared pass over s[jc, i), then the in-pair triangle.
+  int i = 0;
+  for (; L == 2 && i + 1 < n_; i += 2) {
+    const double* r0 = row(i);
+    const double* r1 = row(i + 1);
+    const int l0 = lo[i];
+    const int l1 = lo[i + 1];
+    const int jc = std::min(i, std::max(l0, l1));
+    double a0[kLanes];
+    double a1[kLanes];
+    for (int l = 0; l < L; ++l) {
+      a0[l] = x[l][p[i]];
+      a1[l] = x[l][p[i + 1]];
+    }
+    for (int j = l0; j < jc; ++j) {
+      const double f = r0[j];
+      const double* sj = s + static_cast<std::ptrdiff_t>(j) * L;
+      for (int l = 0; l < L; ++l) a0[l] -= f * sj[l];
+    }
+    for (int j = l1; j < jc; ++j) {
+      const double f = r1[j];
+      const double* sj = s + static_cast<std::ptrdiff_t>(j) * L;
+      for (int l = 0; l < L; ++l) a1[l] -= f * sj[l];
+    }
+    for (int j = jc; j < i; ++j) {
+      const double f0 = r0[j];
+      const double f1 = r1[j];
+      const double* sj = s + static_cast<std::ptrdiff_t>(j) * L;
+      for (int l = 0; l < L; ++l) {
+        a0[l] -= f0 * sj[l];
+        a1[l] -= f1 * sj[l];
+      }
+    }
+    double* si = s + static_cast<std::ptrdiff_t>(i) * L;
+    for (int l = 0; l < L; ++l) si[l] = a0[l];
+    if (l1 <= i) {
+      const double f = r1[i];
+      for (int l = 0; l < L; ++l) a1[l] -= f * a0[l];
+    }
+    for (int l = 0; l < L; ++l) si[L + l] = a1[l];
+  }
+  for (; i < n_; ++i) {
+    const double* ri = row(i);
+    double a[kLanes];
+    for (int l = 0; l < L; ++l) a[l] = x[l][p[i]];
+    for (int j = lo[i]; j < i; ++j) {
+      const double f = ri[j];
+      const double* sj = s + static_cast<std::ptrdiff_t>(j) * L;
+      for (int l = 0; l < L; ++l) a[l] -= f * sj[l];
+    }
+    double* si = s + static_cast<std::ptrdiff_t>(i) * L;
+    for (int l = 0; l < L; ++l) si[l] = a[l];
+  }
+  // Back substitution, row at a time as in solvePermuted; the L lanes'
+  // chains are independent, so their subtractions and divisions overlap.
+  const int* hi = upperEnd_.data();
+  for (int r = n_ - 1; r >= 0; --r) {
+    const double* rr = row(r);
+    double* sr = s + static_cast<std::ptrdiff_t>(r) * L;
+    double a[kLanes];
+    for (int l = 0; l < L; ++l) a[l] = sr[l];
+    for (int j = r + 1; j <= hi[r]; ++j) {
+      const double f = rr[j];
+      const double* sj = s + static_cast<std::ptrdiff_t>(j) * L;
+      for (int l = 0; l < L; ++l) a[l] -= f * sj[l];
+    }
+    const double d = rr[r];
+    for (int l = 0; l < L; ++l) {
+      const double v = a[l] / d;
+      sr[l] = v;
+      x[l][p[r]] = v;
+    }
+  }
+}
+
+template void BandedFactorization::solvePermutedLanes<2>(
+    double* const*, double*, const std::vector<int>&) const;
+template void BandedFactorization::solvePermutedLanes<4>(
+    double* const*, double*, const std::vector<int>&) const;
+
 Vector BandedFactorization::solve(const Vector& b) const {
   Vector x = b;
   solveInPlace(x);

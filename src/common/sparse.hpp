@@ -141,6 +141,20 @@ class BandedFactorization {
   void solvePermuted(Vector& x, Vector& scratch,
                      const std::vector<int>& perm) const;
 
+  /// solvePermuted for L right-hand sides at once (L = 2 or 4, the two
+  /// widths instantiated in sparse.cpp): lane l's right-hand side is
+  /// x[l][0, size()) on entry and its solution on return.  The permuted
+  /// domain is interleaved, scratch[i * L + l] holding row i of lane l
+  /// (size() * L doubles), so each row's factor entries are loaded once
+  /// for all lanes and the lanes' divisions overlap in the back sweep.
+  /// At two lanes the forward sweep also jams rows in pairs.  Every lane
+  /// applies its subtractions in the solvePermuted order (ascending j),
+  /// so each lane's solution is bitwise the solvePermuted one.  No
+  /// allocations.
+  template <int L>
+  void solvePermutedLanes(double* const* x, double* scratch,
+                          const std::vector<int>& perm) const;
+
   /// The envelope every sweep runs over: the first column of row r's
   /// nonzero L entries (r when the row has none) and the last column of
   /// its nonzero U entries (r when none).  Factor entries outside it are

@@ -11,8 +11,7 @@
 // emergencies needs fewer reactive interventions.
 #pragma once
 
-#include <map>
-#include <utility>
+#include <vector>
 
 #include "aging/health.hpp"
 #include "common/matrix.hpp"
@@ -61,16 +60,36 @@ class DtmManager {
   int enforce(Mapping& mapping, const Vector& coreTemperatures,
               const HealthMap& health);
 
+  /// Sizes every table enforce() uses for `mix` on `cores` cores, and
+  /// registers the DTM counters when telemetry is on, so a window's
+  /// enforce() calls allocate nothing, migrations included.  Optional:
+  /// enforce() grows the tables itself when needed.
+  void reserve(int cores, const WorkloadMix& mix);
+
  private:
+  /// An idle core cold enough to take a migrating thread.
+  struct Target {
+    double temperature;
+    int core;
+  };
+
+  /// The last-migration tick slot of a thread (kNever until its first
+  /// migration), growing the table when the thread lies outside it.
+  long& lastMigration(const ThreadRef& ref);
+
+  static constexpr long kNever = -1;
+
   DtmConfig config_;
   DtmStats stats_;
   long tick_ = 0;
-  /// Last migration tick per thread, keyed by (app, thread).
-  std::map<std::pair<int, int>, long> lastMigration_;
-  /// Hot-core work list, kept as a member so quiescent enforce() calls
-  /// (no core at Tsafe — the steady-state epoch common case) allocate
-  /// nothing.
+  /// Last migration tick per thread, flat: slot app * threadStride_ +
+  /// thread.
+  std::vector<long> lastMigration_;
+  int threadStride_ = 0;
+  /// Hot-core work list and migration-target pool, kept as members so
+  /// enforce() reuses their storage.
   std::vector<int> hotScratch_;
+  std::vector<Target> pool_;
 };
 
 }  // namespace hayat

@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "arch/chip.hpp"
 #include "arch/sensors.hpp"
@@ -68,10 +70,12 @@ struct EpochResult {
   Mapping finalMapping;       ///< post-DTM assignment at window end
 };
 
-/// Process-wide count of EpochSimulator::run invocations.  The engine's
-/// result cache is specified as "a cache hit performs zero EpochSimulator
-/// calls"; this counter is how tests (and the engine's own stats) verify
-/// that without instrumenting call sites.  Monotonic, thread-safe.
+/// Process-wide count of simulated windows, one per lane of every
+/// EpochSimulator::runLanes call (so one per EpochSimulator::run).  The
+/// engine's result cache is specified as "a cache hit performs zero
+/// EpochSimulator calls"; this counter is how tests (and the engine's own
+/// stats) verify that without instrumenting call sites.  Monotonic,
+/// thread-safe.
 long epochSimulatorRunCount();
 
 /// Process-wide count of heap allocations observed inside epoch step
@@ -90,6 +94,16 @@ std::uint64_t transientMemoHits();  ///< always 0
 /// Every window is simulated: equals epochSimulatorRunCount().
 std::uint64_t transientMemoMisses();
 
+class EpochSimulator;
+
+/// One lane of a lockstep window: the simulator whose chip and config
+/// it runs on, and the mapping and mix it starts from.
+struct EpochLane {
+  const EpochSimulator* simulator = nullptr;
+  const Mapping* mapping = nullptr;
+  const WorkloadMix* mix = nullptr;
+};
+
 /// Ground-truth fine-grained simulator.
 class EpochSimulator {
  public:
@@ -100,9 +114,28 @@ class EpochSimulator {
   /// Runs one fine-grained window starting from the mapping a policy
   /// chose.  The window starts from the coupled steady state of the
   /// mapping's average power (the chip has been running this workload).
+  /// runLanes with this one lane.
   EpochResult run(const Mapping& initialMapping, const WorkloadMix& mix) const;
 
+  /// Runs one window per lane in lockstep on the calling thread: each
+  /// step computes every lane's power, advances all lanes through one
+  /// TransientSolver::stepLanes call (one interleaved banded sweep), then
+  /// runs every lane's DTM check and accounting.  Lanes keep their own
+  /// mapping, DTM, sensors, temperatures and accumulators, so result k is
+  /// bitwise what lanes[k].simulator->run() returns.  All lanes must hold
+  /// the same transient operator and step count.  The step loop is
+  /// allocation-free.
+  static std::vector<EpochResult> runLanes(std::span<const EpochLane> lanes);
+
+  /// True when `a` and `b` can share a runLanes call.
+  static bool canShareLanes(const EpochSimulator& a, const EpochSimulator& b);
+
   const EpochConfig& config() const { return config_; }
+  const Chip& chip() const { return *chip_; }
+  const ThermalModel& thermal() const { return *thermal_; }
+  const LeakageModel& leakage() const { return *leakage_; }
+  /// Steps per window: window / step, rounded, at least 1.
+  int stepCount() const;
 
  private:
   const Chip* chip_;

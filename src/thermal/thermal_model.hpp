@@ -113,10 +113,21 @@ class ThermalModel {
     Vector columnMaxOff;
   };
 
-  /// Built lazily once per model (the predictor is constructed per
+  /// Built with the influence matrix (the predictor is constructed per
   /// placement round; rebuilding the transpose there would put an O(n²)
   /// copy on the policy's critical path).
   const InfluenceProfile& coreInfluenceProfile() const;
+
+  /// Everything steady-state about one package: the factored conductance
+  /// matrix, the influence matrix and its profile.  Kernels live in a
+  /// process-wide memo keyed by configSignature() and the solver
+  /// backend, so every model of one package (every task of a sweep)
+  /// shares one factorization and one n² influence kernel.
+  struct SteadyKernel {
+    RcSolver solver;
+    Matrix influence;
+    InfluenceProfile profile;
+  };
 
   /// The assembled conductance matrix in CSR form — what the solvers
   /// actually factor.
@@ -169,6 +180,8 @@ class ThermalModel {
 
  private:
   void build();
+  /// configSignature() plus the solver backend: the memo key prefix.
+  std::string backendKey() const;
 
   ThermalConfig config_;
   int cores_ = 0;
@@ -178,9 +191,7 @@ class ThermalModel {
   Vector ambientLoad_;
   std::string signature_;
   RcSolver::Mode mode_ = RcSolver::Mode::Banded;  ///< resolved at build()
-  std::unique_ptr<RcSolver> steadySolver_;
-  mutable std::unique_ptr<Matrix> influence_;  // lazily computed
-  mutable std::unique_ptr<InfluenceProfile> influenceProfile_;  // lazy
+  std::shared_ptr<const SteadyKernel> steady_;  ///< from the shared memo
 };
 
 }  // namespace hayat
