@@ -9,15 +9,28 @@
 // the task boundary where no System holds them; a value a caller holds
 // stays valid after its entry is evicted.
 //
+// Values are built outside the mutex, so tasks that start together
+// build the values of different keys (every chip has its own aging
+// table) at the same time; lookups of a key that is being built wait
+// for that build alone.
+//
 // Each memo is a namespace-scope object constructed during static
 // initialisation and never destroyed (`*new SharedMemo<V>(...)`): no
 // first-use initialiser can be in flight when a worker is forked, and
 // the constructor adds the memo's mutex to those held across fork()
-// (telemetry::holdAcrossFork).
+// (telemetry::holdAcrossFork).  A build that another thread had in
+// flight at fork() never finishes in the child, so the child builds
+// that key again.
 #pragma once
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,22 +58,41 @@ class SharedMemo {
   SharedMemo& operator=(const SharedMemo&) = delete;
 
   /// Returns the value stored under `key`; on a miss, stores and returns
-  /// `build()` (a std::shared_ptr<const V>).  The build runs under the
-  /// memo's lock, so concurrent first lookups of one key build it once.
+  /// `build()` (a std::shared_ptr<const V>).  Concurrent first lookups of
+  /// one key build it once: the others wait for that build, and get its
+  /// exception if it throws (the key is then built afresh next time).
   template <class Build>
   std::shared_ptr<const V> obtain(const std::string& key, Build&& build) {
-    const std::scoped_lock lock(mutex_);
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->first != key) continue;
-      std::rotate(it, it + 1, entries_.end());  // most recent at the back
-      count(hits_, hitsName_);
-      return entries_.back().second;
+    std::promise<Ptr> promise;
+    Value value;
+    std::uint64_t buildId = 0;  // nonzero: this call builds
+    {
+      const std::scoped_lock lock(mutex_);
+      const auto it =
+          std::find_if(entries_.begin(), entries_.end(),
+                       [&](const Entry& e) { return e.key == key; });
+      if (it != entries_.end() && usable(*it)) {
+        std::rotate(it, it + 1, entries_.end());  // most recent at the back
+        count(hits_, hitsName_);
+        value = entries_.back().value;
+      } else {
+        if (it != entries_.end()) entries_.erase(it);
+        count(misses_, missesName_);
+        value = promise.get_future().share();
+        buildId = ++builds_;
+        entries_.push_back({key, value, ::getpid(), buildId});
+        if (entries_.size() > cap_) entries_.erase(entries_.begin());
+      }
     }
-    count(misses_, missesName_);
-    std::shared_ptr<const V> value = build();
-    entries_.emplace_back(key, value);
-    if (entries_.size() > cap_) entries_.erase(entries_.begin());
-    return value;
+    if (buildId != 0) {
+      try {
+        promise.set_value(build());
+      } catch (...) {
+        promise.set_exception(std::current_exception());
+        forget(buildId);
+      }
+    }
+    return value.get();
   }
 
   /// Drops every entry (values still held by callers stay valid).
@@ -70,6 +102,33 @@ class SharedMemo {
   }
 
  private:
+  using Ptr = std::shared_ptr<const V>;
+  using Value = std::shared_future<Ptr>;
+
+  struct Entry {
+    std::string key;
+    Value value;
+    pid_t builder;       ///< process whose thread fulfils `value`
+    std::uint64_t build;  ///< which build fulfils `value`
+  };
+
+  /// False for a build that a thread of the parent process had in
+  /// flight at fork(): no thread of this process will finish it.
+  static bool usable(const Entry& e) {
+    return e.value.wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready ||
+           e.builder == ::getpid();
+  }
+
+  /// Drops the entry of a failed build, so the key is built afresh.
+  void forget(std::uint64_t build) {
+    const std::scoped_lock lock(mutex_);
+    const auto it =
+        std::find_if(entries_.begin(), entries_.end(),
+                     [&](const Entry& e) { return e.build == build; });
+    if (it != entries_.end()) entries_.erase(it);
+  }
+
   /// Resolves the counter on first use, under mutex_ (metric objects
   /// never move, so the pointer stays valid).
   void count(telemetry::Counter*& counter, const std::string& name) {
@@ -85,8 +144,9 @@ class SharedMemo {
   std::mutex mutex_;
   telemetry::Counter* hits_ = nullptr;    ///< guarded by mutex_
   telemetry::Counter* misses_ = nullptr;  ///< guarded by mutex_
+  std::uint64_t builds_ = 0;              ///< guarded by mutex_
   /// Guarded by mutex_; least recently used at the front.
-  std::vector<std::pair<std::string, std::shared_ptr<const V>>> entries_;
+  std::vector<Entry> entries_;
 };
 
 }  // namespace hayat

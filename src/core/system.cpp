@@ -23,11 +23,10 @@ ChipConfig chipConfigFrom(const SystemConfig& config) {
 System System::create(const SystemConfig& config, std::uint64_t populationSeed,
                       int index) {
   HAYAT_REQUIRE(index >= 0, "negative chip index");
-  auto chips = generateChipPopulation(config.population, index + 1,
-                                      populationSeed);
   const std::uint64_t mix =
       std::uint64_t{0x9E3779B97F4A7C15} * static_cast<std::uint64_t>(index + 1);
-  return System(config, std::move(chips[static_cast<std::size_t>(index)]),
+  return System(config,
+                generateChip(config.population, populationSeed, index),
                 populationSeed ^ mix);
 }
 

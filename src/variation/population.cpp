@@ -60,7 +60,7 @@ std::vector<double> samplePositiveField(const SpatialFieldSampler& sampler,
 
 /// Factored samplers shared across sweep tasks.  The Cholesky factor is
 /// a pure function of the field config and dominates population cost
-/// (the factorization is cubic in grid points); every task regenerates
+/// (the factorization is cubic in grid points); every task generates
 /// its chip from the same config, so only the O(m^2) sampling runs per
 /// chip.  Sharing changes no results: the shared factor is bitwise the
 /// one a fresh construction would produce.
@@ -79,12 +79,12 @@ std::string fieldKey(const SpatialFieldConfig& fc) {
   return buf;
 }
 
-}  // namespace
-
-std::vector<VariationMap> generateChipPopulation(const PopulationConfig& config,
-                                                 int count,
-                                                 std::uint64_t seed) {
-  HAYAT_REQUIRE(count >= 0, "negative population size");
+/// Chips first .. first + count - 1 of the population of `seed`.  Chip
+/// i draws only from the root's (i + 1)-th split, so the chips before
+/// `first` are skipped by splitting without sampling them.
+std::vector<VariationMap> generateChips(const PopulationConfig& config,
+                                        int first, int count,
+                                        std::uint64_t seed) {
   const SpatialFieldConfig fc = fieldConfigFrom(config);
   const std::shared_ptr<const SpatialFieldSampler> samplerPtr =
       samplerMemo.obtain(fieldKey(fc), [&] {
@@ -93,6 +93,7 @@ std::vector<VariationMap> generateChipPopulation(const PopulationConfig& config,
   const SpatialFieldSampler& sampler = *samplerPtr;
   const VariationMapConfig mapConfig = mapConfigFrom(config);
   Rng root(seed);
+  for (int i = 0; i < first; ++i) root.split();
   std::vector<VariationMap> chips;
   chips.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
@@ -103,9 +104,19 @@ std::vector<VariationMap> generateChipPopulation(const PopulationConfig& config,
   return chips;
 }
 
-VariationMap generateChip(const PopulationConfig& config, std::uint64_t seed) {
-  auto chips = generateChipPopulation(config, 1, seed);
-  return std::move(chips.front());
+}  // namespace
+
+std::vector<VariationMap> generateChipPopulation(const PopulationConfig& config,
+                                                 int count,
+                                                 std::uint64_t seed) {
+  HAYAT_REQUIRE(count >= 0, "negative population size");
+  return generateChips(config, 0, count, seed);
+}
+
+VariationMap generateChip(const PopulationConfig& config, std::uint64_t seed,
+                          int index) {
+  HAYAT_REQUIRE(index >= 0, "negative chip index");
+  return std::move(generateChips(config, index, 1, seed).front());
 }
 
 double frequencySpread(const VariationMap& chip) {

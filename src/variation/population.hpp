@@ -34,8 +34,10 @@ std::vector<VariationMap> generateChipPopulation(const PopulationConfig& config,
                                                  int count,
                                                  std::uint64_t seed);
 
-/// Generates a single chip (convenience for examples and tests).
-VariationMap generateChip(const PopulationConfig& config, std::uint64_t seed);
+/// Chip `index` of generateChipPopulation(config, n, seed) for any
+/// n > index, bitwise, sampling that chip alone.
+VariationMap generateChip(const PopulationConfig& config, std::uint64_t seed,
+                          int index = 0);
 
 /// Frequency spread of a chip: (fmax_best - fmax_worst) / fmax_mean across
 /// its cores.  Section V reports 30-35% at 1.13 V, 3-4 GHz; the default

@@ -1,11 +1,17 @@
 // Unit and property tests for the common substrate: RNG, linear algebra,
 // interpolation tables, geometry, statistics, and table rendering.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/alloc_counter.hpp"
 #include "common/cli.hpp"
@@ -833,6 +839,93 @@ TEST(SharedMemo, BuildsOncePerKeyCountsAndEvictsLeastRecentlyUsed) {
   telemetry::setEnabled(false);
   EXPECT_EQ(obtain("a", -1), a2);
   EXPECT_EQ(hits.value() - hits0, 2u);
+  memo.clear();
+}
+
+TEST(SharedMemo, DistinctKeysBuildConcurrently) {
+  // Each build waits until the other has started: with builds
+  // serialized, neither could finish.
+  static SharedMemo<int>& memo = *new SharedMemo<int>(
+      4, "test_shared_memo_concurrent_hits_total",
+      "test_shared_memo_concurrent_misses_total");
+  std::atomic<int> started{0};
+  const auto build = [&](int value) {
+    ++started;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    return std::make_shared<const int>(started.load() == 2 ? value : -1);
+  };
+  std::shared_ptr<const int> a;
+  std::thread other([&] { a = memo.obtain("a", [&] { return build(1); }); });
+  const auto b = memo.obtain("b", [&] { return build(2); });
+  other.join();
+  EXPECT_EQ(*a, 1);
+  EXPECT_EQ(*b, 2);
+  memo.clear();
+}
+
+TEST(SharedMemo, ConcurrentLookupsOfOneKeyBuildOnceAndFailuresRetry) {
+  static SharedMemo<int>& memo = *new SharedMemo<int>(
+      4, "test_shared_memo_once_hits_total",
+      "test_shared_memo_once_misses_total");
+  std::atomic<int> builds{0};
+  std::vector<std::shared_ptr<const int>> got(8);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] {
+      got[t] = memo.obtain("k", [&] {
+        ++builds;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return std::make_shared<const int>(7);
+      });
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(builds.load(), 1);
+  for (const auto& v : got) EXPECT_EQ(v, got.front());
+
+  // A failed build throws to its caller and leaves no entry behind.
+  EXPECT_THROW(memo.obtain("bad", []() -> std::shared_ptr<const int> {
+    throw Error("build failed");
+  }),
+               Error);
+  EXPECT_EQ(*memo.obtain("bad", [] { return std::make_shared<const int>(3); }),
+            3);
+  memo.clear();
+}
+
+TEST(SharedMemo, ChildRebuildsAKeyInFlightAtFork) {
+  // A thread of this process is building "k" when the test forks: the
+  // child must build "k" itself instead of waiting for a build that no
+  // thread of the child will finish.
+  static SharedMemo<int>& memo = *new SharedMemo<int>(
+      4, "test_shared_memo_fork_hits_total",
+      "test_shared_memo_fork_misses_total");
+  std::atomic<bool> building{false};
+  std::atomic<bool> release{false};
+  std::thread builder([&] {
+    memo.obtain("k", [&] {
+      building = true;
+      while (!release) std::this_thread::yield();
+      return std::make_shared<const int>(1);
+    });
+  });
+  while (!building) std::this_thread::yield();
+  const pid_t child = ::fork();
+  if (child == 0) {
+    const auto v = memo.obtain("k", [] { return std::make_shared<const int>(2); });
+    ::_exit(*v == 2 ? 0 : 1);
+  }
+  release = true;
+  builder.join();
+  ASSERT_GT(child, 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(*memo.obtain("k", [] { return std::make_shared<const int>(3); }),
+            1);
   memo.clear();
 }
 

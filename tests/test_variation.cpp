@@ -4,7 +4,9 @@
 // spread calibration).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/statistics.hpp"
@@ -246,6 +248,29 @@ TEST(Population, SingleChipHelperMatchesPopulation) {
   const auto chips = generateChipPopulation(pc, 1, 123);
   for (int i = 0; i < solo.coreCount(); ++i)
     EXPECT_DOUBLE_EQ(solo.coreInitialFmax(i), chips[0].coreInitialFmax(i));
+}
+
+TEST(Population, IndexedChipIsBitwiseThePopulationMember) {
+  // System::create samples chip i alone; it must be the i-th chip of the
+  // population drawn in full.
+  const PopulationConfig pc;
+  const auto chips = generateChipPopulation(pc, 8, 77);
+  for (const int index : {0, 1, 5, 7}) {
+    const VariationMap alone = generateChip(pc, 77, index);
+    const VariationMap& member = chips[static_cast<std::size_t>(index)];
+    ASSERT_EQ(alone.coreCount(), member.coreCount());
+    for (int i = 0; i < alone.coreCount(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(alone.coreInitialFmax(i)),
+                std::bit_cast<std::uint64_t>(member.coreInitialFmax(i)))
+          << "chip " << index << ", core " << i;
+      EXPECT_EQ(alone.criticalPathPoints(i), member.criticalPathPoints(i));
+    }
+    for (int p = 0; p < alone.pointGrid().count(); ++p)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(alone.theta(p)),
+                std::bit_cast<std::uint64_t>(member.theta(p)))
+          << "chip " << index << ", point " << p;
+  }
+  EXPECT_THROW(generateChip(pc, 77, -1), Error);
 }
 
 TEST(Population, ChipToChipMeanVariation) {
