@@ -2,8 +2,8 @@
 //
 // For each configuration it times the banded RCM solver against the
 // dense reference LU of the *same* permuted system (the two backends of
-// common/sparse.hpp's RcSolver, selectable at run time with
-// HAYAT_DENSE_SOLVER=1) across four levels:
+// common/sparse.hpp's RcSolver, selected per model with
+// ThermalConfig::solver) across four levels:
 //
 //   factorize   banded-RCM RcSolver construction vs the pre-sparse
 //               reference — a dense LuFactorization of the
@@ -17,8 +17,8 @@
 //   lifetime    one sweep task (System construction + a short
 //               LifetimeSimulator run) under the Hayat policy, exactly
 //               the unit ExperimentEngine::runTask repeats.  The
-//               reference lane stacks both seed-era paths —
-//               HAYAT_DENSE_SOLVER=1 *and* HAYAT_SCALAR_AGING=1 — which
+//               reference lane stacks both seed-era paths — the dense
+//               LU *and* AgingTableConfig::scalarReference — which
 //               also regenerates the 3D aging table per task (the
 //               scalar twin bypasses the shared aging-table cache), so
 //               the speedup column measures the full batched
@@ -62,7 +62,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -87,31 +86,6 @@ namespace {
 
 using namespace hayat;
 using Clock = std::chrono::steady_clock;
-
-/// Forces one RcSolver backend for the models built inside a scope
-/// (models resolve HAYAT_DENSE_SOLVER once, at build()).
-class ScopedBackend {
- public:
-  explicit ScopedBackend(bool dense) {
-    setenv("HAYAT_DENSE_SOLVER", dense ? "1" : "0", 1);
-  }
-  ~ScopedBackend() { unsetenv("HAYAT_DENSE_SOLVER"); }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-};
-
-/// Forces the scalar (bisection-per-core) aging reference for the chips
-/// built inside a scope (AgingTable resolves HAYAT_SCALAR_AGING once, at
-/// construction).
-class ScopedScalarAging {
- public:
-  explicit ScopedScalarAging(bool scalar) {
-    setenv("HAYAT_SCALAR_AGING", scalar ? "1" : "0", 1);
-  }
-  ~ScopedScalarAging() { unsetenv("HAYAT_SCALAR_AGING"); }
-  ScopedScalarAging(const ScopedScalarAging&) = delete;
-  ScopedScalarAging& operator=(const ScopedScalarAging&) = delete;
-};
 
 double elapsedNs(const Clock::time_point& t0) {
   return std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
@@ -149,10 +123,12 @@ struct Entry {
   double speedup() const { return bandedNs > 0.0 ? denseNs / bandedNs : 0.0; }
 };
 
-ThermalConfig blockConfig(int rows, int cols) {
+ThermalConfig blockConfig(int rows, int cols,
+                          RcSolver::Mode solver = RcSolver::Mode::Banded) {
   ThermalConfig tc;
   // The paper's tile: 1.70 x 1.75 mm^2 Alpha-like cores (Fig. 2).
   tc.floorplan = FloorPlan(GridShape(rows, cols), 1.70e-3, 1.75e-3);
+  tc.solver = solver;
   return tc;
 }
 
@@ -211,17 +187,11 @@ double timeTransientStep(const ThermalModel& model, double minRepNs) {
 
 Entry benchTransientStep(int rows, int cols, double minRepNs) {
   Entry e{"step", "block", gridLabel(rows, cols), 0, 0.0, 0.0};
-  {
-    const ScopedBackend banded(false);
-    const ThermalModel model(blockConfig(rows, cols));
-    e.nodes = model.nodeCount();
-    e.bandedNs = timeTransientStep(model, minRepNs);
-  }
-  {
-    const ScopedBackend dense(true);
-    const ThermalModel model(blockConfig(rows, cols));
-    e.denseNs = timeTransientStep(model, minRepNs);
-  }
+  const ThermalModel banded(blockConfig(rows, cols));
+  e.nodes = banded.nodeCount();
+  e.bandedNs = timeTransientStep(banded, minRepNs);
+  const ThermalModel dense(blockConfig(rows, cols, RcSolver::Mode::Dense));
+  e.denseNs = timeTransientStep(dense, minRepNs);
   return e;
 }
 
@@ -231,6 +201,14 @@ SystemConfig benchSystemConfig(int rows, int cols) {
   sc.pathsPerCore = 3;
   sc.elementsPerPath = 12;
   sc.epoch.window = 0.3;
+  return sc;
+}
+
+/// `sc` on the seed-era reference paths: the dense LU and, with
+/// `scalarAging`, the per-core bisection on a fresh aging table per chip.
+SystemConfig referenceSystemConfig(SystemConfig sc, bool scalarAging) {
+  sc.thermal.solver = RcSolver::Mode::Dense;
+  sc.agingTable.scalarReference = scalarAging;
   return sc;
 }
 
@@ -256,15 +234,9 @@ double timeEpochWindow(const SystemConfig& sc, double minRepNs) {
 Entry benchEpochWindow(int rows, int cols, double minRepNs) {
   const SystemConfig sc = benchSystemConfig(rows, cols);
   Entry e{"epoch", "block", gridLabel(rows, cols), 3 * rows * cols, 0.0, 0.0};
-  {
-    const ScopedBackend banded(false);
-    e.bandedNs = timeEpochWindow(sc, minRepNs);
-  }
-  {
-    // Seed lane: the dense reference LU.
-    const ScopedBackend dense(true);
-    e.denseNs = timeEpochWindow(sc, minRepNs);
-  }
+  e.bandedNs = timeEpochWindow(sc, minRepNs);
+  // Seed lane: the dense reference LU.
+  e.denseNs = timeEpochWindow(referenceSystemConfig(sc, false), minRepNs);
   return e;
 }
 
@@ -304,7 +276,6 @@ double timeLaneStep(const ThermalModel& model, int lanes, double minRepNs) {
 ThermalBreakdown benchThermalBreakdown(int rows, int cols, double minRepNs) {
   ThermalBreakdown b;
   b.config = gridLabel(rows, cols);
-  const ScopedBackend banded(false);
   const ThermalModel model(blockConfig(rows, cols));
   b.nodes = model.nodeCount();
   const SparseMatrix& a = model.conductanceSparse();
@@ -347,7 +318,7 @@ double timeLifetimeRun(const SystemConfig& sc) {
   HayatPolicy policy;
   // One sweep *task* as ExperimentEngine::runTask executes it: build the
   // System, run the lifetime.  The same statement is timed in both
-  // lanes; only the A/B env twins differ.  Batched mode amortizes
+  // lanes; only the reference-twin config differs.  Batched mode amortizes
   // start-up through the process-wide shared caches (aging table,
   // transient LU), scalar mode bypasses them and regenerates the 3D
   // aging table per task — the seed's per-task cost, which the paper's
@@ -365,22 +336,14 @@ Entry benchLifetimeRun(int rows, int cols) {
   const SystemConfig sc = benchSystemConfig(rows, cols);
   Entry e{"lifetime", "block", gridLabel(rows, cols), 3 * rows * cols, 0.0,
           0.0};
-  {
-    // Fast lane: every default fast path on (banded solver, batched
-    // cursor-warmed aging, snapshot-served policy loop, shared
-    // aging-table + LU caches across tasks).
-    const ScopedBackend banded(false);
-    const ScopedScalarAging batched(false);
-    Chip::clearSharedAgingTableCacheForTest();  // first build pays in full
-    e.bandedNs = timeLifetimeRun(sc);
-  }
-  {
-    // Reference lane ≙ the seed: dense LU, per-core bisection aging,
-    // and a fresh aging table per task (the scalar twin never caches).
-    const ScopedBackend dense(true);
-    const ScopedScalarAging scalar(true);
-    e.denseNs = timeLifetimeRun(sc);
-  }
+  // Fast lane: every default fast path on (banded solver, batched
+  // cursor-warmed aging, snapshot-served policy loop, shared aging-table
+  // + LU caches across tasks).
+  Chip::clearSharedAgingTableCacheForTest();  // first build pays in full
+  e.bandedNs = timeLifetimeRun(sc);
+  // Reference lane ≙ the seed: dense LU, per-core bisection aging, and a
+  // fresh aging table per task (the scalar twin never caches).
+  e.denseNs = timeLifetimeRun(referenceSystemConfig(sc, true));
   return e;
 }
 
@@ -406,8 +369,6 @@ struct Breakdown {
 
 Breakdown benchLifetimeBreakdown(int rows, int cols, int reps) {
   const SystemConfig sc = benchSystemConfig(rows, cols);
-  const ScopedBackend banded(false);
-  const ScopedScalarAging batched(false);
   System system = System::create(sc, 2015);
   LifetimeConfig lc;
   lc.horizon = 0.5;
@@ -453,8 +414,6 @@ struct FailureBreakdown {
 FailureBreakdown benchFailureBreakdown(int rows, int cols, int samples,
                                        double minRepNs) {
   const SystemConfig sc = benchSystemConfig(rows, cols);
-  const ScopedBackend banded(false);
-  const ScopedScalarAging batched(false);
   FailureBreakdown b;
   b.config = gridLabel(rows, cols);
   b.samples = samples;

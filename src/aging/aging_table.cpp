@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <vector>
 
 #include "common/error.hpp"
@@ -92,19 +91,13 @@ Axis makeDutyAxis(int points) {
 
 }  // namespace
 
-bool scalarAgingRequested() {
-  const char* env = std::getenv("HAYAT_SCALAR_AGING");
-  return env != nullptr && env[0] == '1';
-}
-
 AgingTable::AgingTable(const NbtiModel& nbti, const CorePathSet& paths,
                        const AgingTableConfig& config)
     : config_(config),
       table_(Axis::linspace(config.temperatureMin, config.temperatureMax,
                             config.temperaturePoints),
              makeDutyAxis(config.dutyPoints),
-             makeAgeAxis(config.maxAge)),
-      scalarAging_(scalarAgingRequested()) {
+             makeAgeAxis(config.maxAge)) {
   HAYAT_REQUIRE(config.temperatureMax > config.temperatureMin,
                 "empty temperature range");
   HAYAT_REQUIRE(config.maxAge > 0.0, "maxAge must be positive");
@@ -131,7 +124,7 @@ void AgingTable::delayFactorBatch(const double* temperature,
     HAYAT_REQUIRE(duty[i] >= 0.0 && duty[i] <= 1.0,
                   "duty cycle must be in [0, 1]");
     HAYAT_REQUIRE(age[i] >= 0.0, "age must be non-negative");
-    if (scalarAging_) {
+    if (config_.scalarReference) {
       out[i] = table_.interpolate(temperature[i], duty[i], age[i]);
     } else {
       Cursor& cursor = cursors != nullptr ? cursors[i] : cold;
@@ -171,7 +164,7 @@ Years AgingTable::equivalentAge(Kelvin temperature, double duty,
   HAYAT_REQUIRE(duty > 0.0, "equivalent age undefined for zero duty");
   HAYAT_REQUIRE(targetDelayFactor >= 1.0, "delay factor must be >= 1");
   countBisection();
-  if (scalarAging_)
+  if (config_.scalarReference)
     return equivalentAgeScalar(temperature, duty, targetDelayFactor);
   // Same failure order as the scalar path (which trips this check inside
   // its first delayFactor probe).
@@ -193,7 +186,7 @@ double AgingTable::advanceDelayFactor(Kelvin temperature, double duty,
   HAYAT_REQUIRE(duty > 0.0, "equivalent age undefined for zero duty");
   HAYAT_REQUIRE(currentDelayFactor >= 1.0, "delay factor must be >= 1");
   countBisection();
-  if (scalarAging_) {
+  if (config_.scalarReference) {
     const Years equivalent =
         equivalentAgeScalar(temperature, duty, currentDelayFactor);
     const double next =
@@ -220,7 +213,7 @@ void AgingTable::advanceDelayFactorMany(const double* temperature,
                                         double* out, Cursor* cursors) const {
   HAYAT_REQUIRE(n >= 0, "negative batch size");
   HAYAT_REQUIRE(cursors != nullptr, "advanceDelayFactorMany needs cursors");
-  if (scalarAging_) {
+  if (config_.scalarReference) {
     for (int i = 0; i < n; ++i)
       out[i] = advanceDelayFactor(temperature[i], duty[i], duration,
                                   current[i], cursors[i]);

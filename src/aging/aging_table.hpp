@@ -27,19 +27,19 @@ struct AgingTableConfig {
   int temperaturePoints = 13;
   int dutyPoints = 11;        ///< duty axis spans [0, 1]
   Years maxAge = 40.0;        ///< headroom beyond the 10-year evaluation
+
+  /// Runs the scalar reference path (per-lookup grid searches and the
+  /// explicit 60-iteration bisection: the batched default's arithmetic,
+  /// bitwise) on a table the chip builds for itself (chip.hpp).  Outside
+  /// the spec: the spec walk skips it, so it is never hashed, sent to a
+  /// worker or cached, and workers run the default.  Sound only because
+  /// the A/B tests pin both paths to identical bytes.
+  bool scalarReference = false;
 };
 
 /// Below this duty cycle an epoch adds no measurable stress; the scalar
 /// CoreAgingState::advance and the batched advanceBatch share it.
 inline constexpr double kAgingDutyEpsilon = 1e-9;
-
-/// True when the environment requests the scalar aging reference path
-/// (HAYAT_SCALAR_AGING=1).  Resolved once per table at construction —
-/// the A/B-twin pattern of HAYAT_DENSE_SOLVER (sparse.hpp): the scalar
-/// reference performs the same floating-point work as the batched fast
-/// path through the original per-lookup grid searches and the explicit
-/// 60-iteration bisection, so the two produce bitwise-identical results.
-bool scalarAgingRequested();
 
 /// The 3D table with forward (delay factor) and inverse (equivalent age)
 /// lookups.
@@ -50,7 +50,8 @@ bool scalarAgingRequested();
 /// inverse lookup *replays* the reference bisection on a (T, d)-pinned
 /// table line — identical midpoints and predicates, evaluated through
 /// four cached rows instead of full grid searches — so every fast result
-/// is bitwise equal to the scalar reference (HAYAT_SCALAR_AGING=1).
+/// is bitwise equal to the scalar reference
+/// (AgingTableConfig::scalarReference).
 class AgingTable {
  public:
   /// Per-core cached grid-cell indices for the fast lookups.
@@ -112,9 +113,8 @@ class AgingTable {
                               Years duration, const double* current, int n,
                               double* out, Cursor* cursors) const;
 
-  /// True when this table runs the scalar reference path
-  /// (HAYAT_SCALAR_AGING=1 at construction).
-  bool usesScalarAging() const { return scalarAging_; }
+  /// True when this table runs the scalar reference path.
+  bool usesScalarAging() const { return config_.scalarReference; }
 
   Years maxAge() const { return config_.maxAge; }
   const AgingTableConfig& configuration() const { return config_; }
@@ -127,7 +127,6 @@ class AgingTable {
   AgingTableConfig config_;
   Table3 table_;
   TrilinearGrid grid_;   ///< cursor-cached view over table_
-  bool scalarAging_ = false;
 };
 
 }  // namespace hayat

@@ -11,6 +11,12 @@ namespace {
 constexpr double kBoltzmannEv = 8.617333262e-5;  // [eV/K]
 }
 
+double arrheniusFactor(double activationEnergyEv, Kelvin temperature,
+                       Kelvin referenceTemperature) {
+  return std::exp(activationEnergyEv / kBoltzmannEv *
+                  (1.0 / temperature - 1.0 / referenceTemperature));
+}
+
 MttfModel::MttfModel(MttfConfig config) : config_(config) {
   HAYAT_REQUIRE(config.activationEnergyEv > 0.0,
                 "activation energy must be positive");
@@ -22,10 +28,9 @@ MttfModel::MttfModel(MttfConfig config) : config_(config) {
 
 Years MttfModel::mttf(Kelvin temperature) const {
   HAYAT_REQUIRE(temperature > 0.0, "temperature must be positive kelvin");
-  const double exponent =
-      config_.activationEnergyEv / kBoltzmannEv *
-      (1.0 / temperature - 1.0 / config_.referenceTemperature);
-  return config_.referenceMttfYears * std::exp(exponent);
+  return config_.referenceMttfYears *
+         arrheniusFactor(config_.activationEnergyEv, temperature,
+                         config_.referenceTemperature);
 }
 
 double MttfModel::damageRate(Kelvin temperature) const {

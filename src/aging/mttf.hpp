@@ -29,6 +29,14 @@ namespace hayat {
 /// the per-unit wearout models, failure/wearout.hpp).
 constexpr Years kUnboundedLifetime = std::numeric_limits<double>::infinity();
 
+/// The Arrhenius acceleration exp(Ea/k * (1/T - 1/T_ref)): how much
+/// longer a unit lasts at `temperature` than at `referenceTemperature`
+/// for a mechanism of activation energy `activationEnergyEv` [eV].  The
+/// one evaluator of MttfModel and the per-unit wearout models
+/// (failure/wearout.hpp).
+double arrheniusFactor(double activationEnergyEv, Kelvin temperature,
+                       Kelvin referenceTemperature);
+
 /// Arrhenius MTTF parameters.
 struct MttfConfig {
   /// Activation energy [eV].  0.6 eV gives the paper's ~2x MTTF per

@@ -67,12 +67,12 @@ std::shared_ptr<const AgingTable> obtainAgingTable(const ChipConfig& config,
                                                    const NbtiModel& nbti,
                                                    const CorePathSet& paths,
                                                    std::uint64_t seed) {
-  // The scalar reference lane (HAYAT_SCALAR_AGING=1) models the seed
-  // stack, which generated a fresh table per chip — it bypasses the
-  // cache so A/B comparisons time the original start-up cost.  Tables
-  // also record the env flag at construction, so a cached batched-mode
-  // table must never be handed to a scalar-mode chip (or vice versa).
-  if (scalarAgingRequested())
+  // The scalar reference lane models the seed stack, which generated a
+  // fresh table per chip — it bypasses the cache so A/B comparisons time
+  // the original start-up cost.  The cache key leaves the flag out, so
+  // this bypass is also what keeps a batched-mode table from being
+  // handed to a scalar-mode chip (or vice versa).
+  if (config.agingTable.scalarReference)
     return std::make_shared<const AgingTable>(nbti, paths, config.agingTable);
 
   return agingTableMemo.obtain(agingTableKey(config, seed), [&] {

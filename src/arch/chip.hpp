@@ -71,9 +71,9 @@ class Chip {
 
   /// Empties the process-wide shared aging-table cache.  Tables are
   /// deterministic in (config, seed), so same-recipe chips share one
-  /// immutable table; the scalar reference lane (HAYAT_SCALAR_AGING=1)
-  /// bypasses the cache and always builds fresh, modeling the seed's
-  /// per-task start-up cost.
+  /// immutable table; the scalar reference lane
+  /// (AgingTableConfig::scalarReference) bypasses the cache and always
+  /// builds fresh, modeling the seed's per-task start-up cost.
   static void clearSharedAgingTableCacheForTest();
 
  private:

@@ -96,11 +96,6 @@ SparseMatrix SparseMatrixBuilder::build() const {
   return out;
 }
 
-bool denseSolverRequested() {
-  const char* env = std::getenv("HAYAT_DENSE_SOLVER");
-  return env != nullptr && env[0] == '1';
-}
-
 // --- Reverse Cuthill–McKee ------------------------------------------------
 
 namespace {
@@ -522,9 +517,7 @@ RcSolver::RcSolver(const SparseMatrix& a, std::vector<int> perm, Mode mode)
   }
   const SparseMatrix permuted = builder.build();
 
-  const bool dense =
-      mode == Mode::Dense || (mode == Mode::Auto && denseSolverRequested());
-  if (dense) {
+  if (mode == Mode::Dense) {
     dense_ = std::make_unique<LuFactorization>(permuted.toDense());
   } else {
     banded_ = std::make_unique<BandedFactorization>(permuted, band_);

@@ -23,8 +23,9 @@
 // are symmetric and (weakly) diagonally dominant, so dense partial
 // pivoting never actually swaps rows; the two paths therefore produce
 // bitwise-identical solutions.  RcSolver exploits that to offer a dense
-// A/B reference (HAYAT_DENSE_SOLVER=1) whose sweep outputs are
-// byte-identical to the banded default.
+// A/B reference (RcSolver::Mode::Dense, selected per model through
+// ThermalConfig::solver) whose sweep outputs are byte-identical to the
+// banded default.
 #pragma once
 
 #include <cstddef>
@@ -93,10 +94,6 @@ class SparseMatrixBuilder {
   };
   std::vector<Triplet> triplets_;
 };
-
-/// True when the environment requests the dense reference solver
-/// (HAYAT_DENSE_SOLVER=1).  Read per call so tests can flip it.
-bool denseSolverRequested();
 
 /// Reverse Cuthill–McKee ordering of a structurally symmetric matrix.
 /// Returns `perm` with perm[newIndex] = oldIndex.  Deterministic: BFS
@@ -198,20 +195,17 @@ class BandedFactorization {
 ///
 /// Both backends factor the *same* permuted matrix, so their solutions
 /// are bitwise identical (see file comment) — the dense path exists to
-/// A/B-validate the sparse kernels, selected by HAYAT_DENSE_SOLVER=1 at
-/// construction (Mode::Auto) or explicitly by benches.
+/// A/B-validate the sparse kernels.
 class RcSolver {
  public:
   enum class Mode {
-    Auto,    ///< banded unless HAYAT_DENSE_SOLVER=1
-    Banded,  ///< force the sparse kernel
-    Dense,   ///< force the dense reference LU
+    Banded,  ///< the sparse kernel (default)
+    Dense,   ///< the dense reference LU
   };
 
   /// Factors `a` under `perm` (perm[newIndex] = oldIndex; empty means
   /// compute reverseCuthillMcKee(a) internally).
-  explicit RcSolver(const SparseMatrix& a, std::vector<int> perm = {},
-                    Mode mode = Mode::Auto);
+  RcSolver(const SparseMatrix& a, std::vector<int> perm, Mode mode);
 
   int size() const { return n_; }
   int band() const { return band_; }

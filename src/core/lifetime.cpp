@@ -430,14 +430,6 @@ void LifetimeRun::endEpoch(const EpochResult& window) {
   ++epoch_;
 }
 
-void LifetimeRun::advanceEpoch() {
-  static std::atomic<std::uint64_t> epochSpanSite{0};
-  const telemetry::Span epochSpan("lifetime.epoch",
-                                  telemetry::sampleSpanSite(epochSpanSite));
-  const EpochLane lane = beginEpoch();
-  endEpoch(timedWindows({&lane, 1}).front());
-}
-
 LifetimeResult LifetimeRun::finish() {
   HAYAT_REQUIRE(done() && !inEpoch_, "the run has epochs left");
   const TotalPhaseTimer timer;
@@ -495,7 +487,8 @@ LifetimeResult LifetimeSimulator::run(System& system,
                                       MappingPolicy& policy) const {
   const telemetry::Span runSpan("lifetime.run");
   LifetimeRun run(config_, system, policy);
-  while (!run.done()) run.advanceEpoch();
+  LifetimeRun* const runs[] = {&run};
+  while (!run.done()) advanceInLockstep(runs);
   return run.finish();
 }
 

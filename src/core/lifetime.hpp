@@ -166,9 +166,6 @@ class LifetimeRun {
   /// damage, failure trajectories and the epoch's EpochRecord.
   void endEpoch(const EpochResult& window);
 
-  /// beginEpoch, one window, endEpoch.
-  void advanceEpoch();
-
   /// The run's result, the failure Monte Carlo included.  Call once,
   /// after done().
   LifetimeResult finish();
@@ -203,8 +200,9 @@ class LifetimeRun {
 /// Advances every run that is not done by one epoch.  The runs whose
 /// windows can share lanes (EpochSimulator::canShareLanes) step them
 /// together through one EpochSimulator::runLanes call, so each run ends
-/// bitwise where advanceEpoch() would have taken it.  Runs may be at
-/// different epochs.
+/// bitwise where beginEpoch, its own window and endEpoch would have
+/// taken it.  Runs may be at different epochs.  This is the only advance
+/// path: LifetimeSimulator::run calls it with one run.
 void advanceInLockstep(std::span<LifetimeRun* const> runs);
 
 /// The epoch-loop driver.

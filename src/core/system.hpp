@@ -38,8 +38,8 @@ struct SystemConfig {
 class System {
  public:
   /// Builds the system for chip `index` of the population seeded by
-  /// `populationSeed` (chips 0..index are generated to keep populations
-  /// identical across call sites).
+  /// `populationSeed`.  Only that chip is sampled (generateChip), bitwise
+  /// equal to its place in the whole population.
   static System create(const SystemConfig& config, std::uint64_t populationSeed,
                        int index = 0);
 

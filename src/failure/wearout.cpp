@@ -6,16 +6,6 @@
 
 namespace hayat {
 
-namespace {
-constexpr double kBoltzmannEv = 8.617333262e-5;  // [eV/K]
-
-double arrhenius(double activationEnergyEv, Kelvin temperature,
-                 Kelvin referenceTemperature) {
-  return std::exp(activationEnergyEv / kBoltzmannEv *
-                  (1.0 / temperature - 1.0 / referenceTemperature));
-}
-}  // namespace
-
 EmModel::EmModel(EmConfig config) : config_(config) {
   HAYAT_REQUIRE(config.activationEnergyEv > 0.0,
                 "EM activation energy must be positive");
@@ -36,8 +26,8 @@ Years EmModel::mttf(Kelvin temperature, double currentFactor) const {
   return config_.referenceMttfYears *
          std::pow(currentFactor / config_.referenceCurrentFactor,
                   -config_.currentExponent) *
-         arrhenius(config_.activationEnergyEv, temperature,
-                   config_.referenceTemperature);
+         arrheniusFactor(config_.activationEnergyEv, temperature,
+                         config_.referenceTemperature);
 }
 
 double EmModel::damageRate(Kelvin temperature, double currentFactor) const {
@@ -66,8 +56,8 @@ Years TddbModel::mttf(Kelvin temperature, double biasDuty) const {
   return config_.referenceMttfYears *
          std::pow(config_.vdd / config_.referenceVdd,
                   -config_.voltageExponent) *
-         arrhenius(config_.activationEnergyEv, temperature,
-                   config_.referenceTemperature) /
+         arrheniusFactor(config_.activationEnergyEv, temperature,
+                         config_.referenceTemperature) /
          biasDuty;
 }
 

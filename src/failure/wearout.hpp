@@ -29,7 +29,7 @@
 // temperature/duty trajectories.
 #pragma once
 
-#include "aging/mttf.hpp"  // kUnboundedLifetime + Miner-rule primitives
+#include "aging/mttf.hpp"  // arrheniusFactor, kUnboundedLifetime, Miner rule
 #include "common/units.hpp"
 
 namespace hayat {

@@ -128,9 +128,7 @@ void GridThermalModel::build() {
 
   g_ = builder.build();
   perm_ = reverseCuthillMcKee(g_);
-  steadySolver_ = std::make_unique<RcSolver>(
-      g_, perm_,
-      denseSolverRequested() ? RcSolver::Mode::Dense : RcSolver::Mode::Banded);
+  steadySolver_ = std::make_unique<RcSolver>(g_, perm_, base.solver);
 }
 
 Vector GridThermalModel::steadyStateSubBlocks(

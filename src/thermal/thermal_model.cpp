@@ -182,10 +182,6 @@ void ThermalModel::build() {
 
   sparse_ = builder.build();
   perm_ = reverseCuthillMcKee(sparse_);
-  // The backend is resolved once per model so the steady kernel, the
-  // transient operators, and the memo keys all agree.
-  mode_ = denseSolverRequested() ? RcSolver::Mode::Dense
-                                 : RcSolver::Mode::Banded;
 
   // Signature of everything that shaped sparse_ / cap_ / ambientLoad_:
   // same signature implies identical matrices, so steady kernels and
@@ -209,7 +205,7 @@ void ThermalModel::build() {
 
   steady_ = steadyMemo.obtain(backendKey(), [&] {
     const telemetry::Span span("thermal.steady_kernel");
-    RcSolver solver(sparse_, perm_, mode_);
+    RcSolver solver(sparse_, perm_, config_.solver);
     Matrix influence = influenceMatrix(solver, cores_);
     InfluenceProfile profile = influenceProfile(influence);
     return std::make_shared<const SteadyKernel>(SteadyKernel{
@@ -221,7 +217,8 @@ std::string ThermalModel::backendKey() const {
   // The backend is part of every memo key so banded and dense-reference
   // runs in one process never hand each other the wrong factorization.
   return signature_ +
-         (mode_ == RcSolver::Mode::Dense ? "|solver=dense" : "|solver=band");
+         (config_.solver == RcSolver::Mode::Dense ? "|solver=dense"
+                                                  : "|solver=band");
 }
 
 Vector ThermalModel::expandPower(const Vector& corePower) const {
@@ -286,7 +283,7 @@ ThermalModel::transientOperator(Seconds dt) const {
       }
     }
     return std::make_shared<const TransientOperator>(dt, std::move(capOverDt),
-                                                     a, perm_, mode_);
+                                                     a, perm_, config_.solver);
   });
 }
 

@@ -16,8 +16,8 @@
 //
 // The network is structurally sparse (≤7 nonzeros per row), so all
 // solves go through the banded kernels of common/sparse.hpp under a
-// reverse Cuthill–McKee ordering; HAYAT_DENSE_SOLVER=1 selects the
-// dense reference LU of the same permuted matrix, which produces
+// reverse Cuthill–McKee ordering; ThermalConfig::solver = Dense selects
+// the dense reference LU of the same permuted matrix, which produces
 // bitwise-identical results (see DESIGN.md §3.8).  Package parameters
 // default to HotSpot-like values calibrated so that the paper's
 // workloads produce the 325-345 K steady-state band of Fig. 2 (see
@@ -65,6 +65,13 @@ struct ThermalConfig {
 
   /// Whole-package convective resistance sink -> ambient [K/W].
   double convectionResistance = 0.04;
+
+  /// Backend of this package's factorizations: the banded kernel or the
+  /// dense reference LU.  Outside the spec: the spec walk skips it, so
+  /// it is never hashed, sent to a worker or cached, and workers run the
+  /// default.  Sound only because the A/B tests pin both backends to
+  /// identical bytes.
+  RcSolver::Mode solver = RcSolver::Mode::Banded;
 };
 
 /// The assembled RC network with cached factorizations.
@@ -190,7 +197,6 @@ class ThermalModel {
   Vector cap_;
   Vector ambientLoad_;
   std::string signature_;
-  RcSolver::Mode mode_ = RcSolver::Mode::Banded;  ///< resolved at build()
   std::shared_ptr<const SteadyKernel> steady_;  ///< from the shared memo
 };
 

@@ -296,16 +296,15 @@ TEST_F(AgingTableFixture, DelayFactorBatchIsBitwiseEqualToScalarLookups) {
 }
 
 TEST_F(AgingTableFixture, BatchedInverseAndAdvanceMatchScalarReference) {
-  // The §3.10 A/B twin: a table built under HAYAT_SCALAR_AGING=1 runs
+  // The §3.10 A/B twin: a table built with scalarReference set runs
   // the original per-lookup grid searches and the explicit 60-iteration
   // bisection; the batched default replays them through pinned cells.
   // Sweep the full (T, d) grid — every cell edge and midpoint — and
   // demand bitwise equality, with one deliberately stale warm cursor.
-  setenv("HAYAT_SCALAR_AGING", "1", 1);
-  const AgingTable scalar(nbti_, paths_);
-  setenv("HAYAT_SCALAR_AGING", "0", 1);
+  AgingTableConfig scalarConfig;
+  scalarConfig.scalarReference = true;
+  const AgingTable scalar(nbti_, paths_, scalarConfig);
   const AgingTable batched(nbti_, paths_);
-  unsetenv("HAYAT_SCALAR_AGING");
   ASSERT_TRUE(scalar.usesScalarAging());
   ASSERT_FALSE(batched.usesScalarAging());
 

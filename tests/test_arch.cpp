@@ -202,11 +202,13 @@ INSTANTIATE_TEST_SUITE_P(LadderSizes, LadderSweep,
 
 class ChipFixture : public ::testing::Test {
  protected:
-  static Chip makeChip(std::uint64_t seed = 2015) {
+  static Chip makeChip(std::uint64_t seed = 2015,
+                       bool scalarReference = false) {
     PopulationConfig pc;
     pc.coreGrid = GridShape(4, 4);
     ChipConfig cc;
     cc.floorplan = FloorPlan(pc.coreGrid, pc.coreWidth, pc.coreHeight);
+    cc.agingTable.scalarReference = scalarReference;
     cc.pathsPerCore = 3;
     cc.elementsPerPath = 12;
     return Chip(cc, generateChip(pc, seed), seed);
@@ -298,13 +300,13 @@ TEST_F(ChipFixture, ScalarAgingModeBypassesTheSharedTable) {
   // The scalar reference lane models the seed stack, which generated a
   // fresh table per chip; it must not read (or warm) the shared cache.
   Chip::clearSharedAgingTableCacheForTest();
-  setenv("HAYAT_SCALAR_AGING", "1", 1);
-  const Chip a = makeChip(5);
-  const Chip b = makeChip(5);
-  unsetenv("HAYAT_SCALAR_AGING");
+  const Chip a = makeChip(5, true);
+  const Chip b = makeChip(5, true);
   EXPECT_NE(&a.agingTable(), &b.agingTable());
+  EXPECT_TRUE(a.agingTable().usesScalarAging());
   // Value-identical to the batched lane's cached table all the same.
   const Chip cached = makeChip(5);
+  EXPECT_FALSE(cached.agingTable().usesScalarAging());
   EXPECT_EQ(a.agingTable().delayFactor(350, 0.5, 5.0),
             cached.agingTable().delayFactor(350, 0.5, 5.0));
   Chip::clearSharedAgingTableCacheForTest();

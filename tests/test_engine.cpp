@@ -43,6 +43,14 @@ ExperimentSpec tinySpec() {
   return spec;
 }
 
+/// `spec` on the dense reference LU and/or the scalar aging reference.
+ExperimentSpec withReferences(ExperimentSpec spec, bool dense, bool scalar) {
+  spec.system.thermal.solver =
+      dense ? RcSolver::Mode::Dense : RcSolver::Mode::Banded;
+  spec.system.agingTable.scalarReference = scalar;
+  return spec;
+}
+
 EngineConfig noCache(int workers) {
   EngineConfig config;
   config.workers = workers;
@@ -233,6 +241,23 @@ TEST(ExperimentSpecTest, NameAndDerivedSeedsAreNotHashed) {
   s.lifetime.sensorSeed = 654321;
   s.system.epoch.thermalSensorSeed = 777;
   EXPECT_EQ(specHash(s), specHash(tinySpec()));
+}
+
+// The reference twins are per-model config, not spec: they give the
+// same bytes, so the hash, the signature and the wire form ignore them,
+// and a decoded spec always runs the fast paths.
+TEST(ExperimentSpecTest, ReferenceFieldsAreNotPartOfTheSpec) {
+  const ExperimentSpec base = tinySpec();
+  for (int lane = 1; lane < 4; ++lane) {
+    const ExperimentSpec s =
+        withReferences(base, (lane & 1) != 0, (lane & 2) != 0);
+    EXPECT_EQ(specHash(s), specHash(base));
+    EXPECT_EQ(specSignature(s), specSignature(base));
+    EXPECT_EQ(encodeSpec(s), encodeSpec(base));
+    const ExperimentSpec decoded = decodeSpec(encodeSpec(s));
+    EXPECT_EQ(decoded.system.thermal.solver, RcSolver::Mode::Banded);
+    EXPECT_FALSE(decoded.system.agingTable.scalarReference);
+  }
 }
 
 TEST(ExperimentEngineTest, ParallelRunsAreBitIdenticalToSerial) {
@@ -578,13 +603,11 @@ TEST(ExperimentEngineTest, RetiredPruneRadiusParamIsRejected) {
 TEST(ExperimentEngineTest, SparseAndDenseSolverSweepsAreByteIdentical) {
   // The A/B contract of the sparse migration: a sweep run on the banded
   // kernels serializes byte-for-byte like one run on the dense
-  // reference LU (HAYAT_DENSE_SOLVER=1), including the cache records.
+  // reference LU, including the cache records.
   const ExperimentSpec spec = tinySpec();
-  setenv("HAYAT_DENSE_SOLVER", "0", 1);
   const SweepTable banded = ExperimentEngine(noCache(1)).run(spec);
-  setenv("HAYAT_DENSE_SOLVER", "1", 1);
-  const SweepTable dense = ExperimentEngine(noCache(1)).run(spec);
-  unsetenv("HAYAT_DENSE_SOLVER");
+  const SweepTable dense =
+      ExperimentEngine(noCache(1)).run(withReferences(spec, true, false));
 
   expectIdentical(banded, dense);
   ASSERT_EQ(banded.runs.size(), dense.runs.size());
@@ -601,9 +624,9 @@ TEST(ExperimentEngineTest, ScalarAndBatchedAgingSweepsAreByteIdentical) {
   // The A/B contract of the batched aging/policy fast path (DESIGN.md
   // §3.10): every registered policy, run on either thermal backend,
   // serializes byte-for-byte the same under the scalar bisection
-  // reference (HAYAT_SCALAR_AGING=1) and the batched cursor-warmed
-  // default.  Exhaustive gets its own spec with a dark fraction that
-  // keeps the enumeration tiny (budget 2 on a 4x4 chip).
+  // reference and the batched cursor-warmed default.  Exhaustive gets its
+  // own spec with a dark fraction that keeps the enumeration tiny (budget
+  // 2 on a 4x4 chip).
   ExperimentSpec spec = tinySpec();
   spec.chips = {0};
   spec.policies = {
@@ -614,20 +637,19 @@ TEST(ExperimentEngineTest, ScalarAndBatchedAgingSweepsAreByteIdentical) {
   exhaustiveSpec.policies = {{"Exhaustive", {}}};
 
   struct Lane {
-    const char* dense;
-    const char* scalar;
+    bool dense;
+    bool scalar;
   };
-  constexpr Lane kLanes[] = {{"0", "0"}, {"0", "1"}, {"1", "0"}, {"1", "1"}};
+  constexpr Lane kLanes[] = {
+      {false, false}, {false, true}, {true, false}, {true, true}};
   std::vector<SweepTable> tables;
   std::vector<SweepTable> exhaustiveTables;
   for (const Lane& lane : kLanes) {
-    setenv("HAYAT_DENSE_SOLVER", lane.dense, 1);
-    setenv("HAYAT_SCALAR_AGING", lane.scalar, 1);
-    tables.push_back(ExperimentEngine(noCache(1)).run(spec));
-    exhaustiveTables.push_back(ExperimentEngine(noCache(1)).run(exhaustiveSpec));
+    tables.push_back(ExperimentEngine(noCache(1)).run(
+        withReferences(spec, lane.dense, lane.scalar)));
+    exhaustiveTables.push_back(ExperimentEngine(noCache(1)).run(
+        withReferences(exhaustiveSpec, lane.dense, lane.scalar)));
   }
-  unsetenv("HAYAT_DENSE_SOLVER");
-  unsetenv("HAYAT_SCALAR_AGING");
 
   const auto expectSameBytes = [](const SweepTable& a, const SweepTable& b,
                                   const char* what) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -111,7 +112,6 @@ TEST(LaneSolve, MatchesSolvePermutedBitwiseFuzz) {
   for (const int edge : {4, 8, 16}) {
     const ThermalModel model(packageConfig(edge));
     const auto op = model.transientOperator(6.6e-3);
-    if (op->solver.usesDense()) GTEST_SKIP() << "dense reference selected";
     for (int trial = 0; trial < 8; ++trial)
       for (const int width : {2, 4})
         expectLanesMatchSolvePermuted(*op->solver.banded(),
@@ -364,9 +364,12 @@ TEST(LifetimeRun, AdvanceLoopEqualsRun) {
                            std::vector<double>(16, 0.0), 0.0, 0.0, {}, 0, 0,
                            0.0, 0.0, Mapping(16)};
     EXPECT_THROW(run.endEpoch(idle), Error);
+    // The plain begin / window / end loop: the one-run advanceInLockstep
+    // that run() loops over must take the same steps.
     int epochs = 0;
     while (!run.done()) {
-      run.advanceEpoch();
+      const EpochLane lane = run.beginEpoch();
+      run.endEpoch(lane.simulator->run(*lane.mapping, *lane.mix));
       ++epochs;
     }
     EXPECT_EQ(epochs, 4);
@@ -508,6 +511,39 @@ TEST(EngineLanes, StaggeredHorizonsInOneGroupKeepTheirBytes) {
     engine::SweepTable pooled;
     pooled.runs = engine::ExperimentEngine::runTasks(tasks, seed, 3, width);
     EXPECT_EQ(tableBytes(pooled), tableBytes(alone)) << "width " << width;
+  }
+}
+
+// The reference twins are per-model config: a dense-LU, scalar-aging run
+// and a default run of the same package share one process and run at
+// once, each reading only its own models' fields (the shared steady,
+// transient and aging-table memos included), and give the same bytes.
+TEST(ReferenceTwins, ReferenceAndDefaultRunsOnTwoThreadsGiveTheSameBytes) {
+  const engine::ExperimentSpec spec = eightTaskSpec();
+  const std::vector<engine::RunTask> fast =
+      engine::ExperimentEngine::expand(spec);
+  std::vector<engine::RunTask> reference = fast;
+  for (engine::RunTask& task : reference) {
+    task.system.thermal.solver = RcSolver::Mode::Dense;
+    task.system.agingTable.scalarReference = true;
+  }
+  const auto runOn = [&spec](const std::vector<engine::RunTask>& tasks) {
+    return std::async(std::launch::async, [&tasks, &spec] {
+      return engine::ExperimentEngine::runTasks(tasks, spec.populationSeed, 1,
+                                                2);
+    });
+  };
+  auto referenceRuns = runOn(reference);
+  auto fastRuns = runOn(fast);
+  const std::vector<engine::RunResult> referenceResults = referenceRuns.get();
+  const std::vector<engine::RunResult> fastResults = fastRuns.get();
+  ASSERT_EQ(fastResults.size(), referenceResults.size());
+  for (std::size_t k = 0; k < fastResults.size(); ++k) {
+    std::ostringstream x;
+    std::ostringstream y;
+    engine::writeRunResult(x, fastResults[k]);
+    engine::writeRunResult(y, referenceResults[k]);
+    EXPECT_EQ(x.str(), y.str()) << "task " << k;
   }
 }
 

@@ -894,20 +894,6 @@ std::uint64_t windowDigest(const EpochResult& r) {
   return h;
 }
 
-/// Sets one environment variable for the lifetime of a scope.
-class ScopedEnvFlag {
- public:
-  explicit ScopedEnvFlag(const char* name) : name_(name) {
-    setenv(name, "1", 1);
-  }
-  ~ScopedEnvFlag() { unsetenv(name_); }
-  ScopedEnvFlag(const ScopedEnvFlag&) = delete;
-  ScopedEnvFlag& operator=(const ScopedEnvFlag&) = delete;
-
- private:
-  const char* name_;
-};
-
 // The digests were recorded from the full step-by-step reference path
 // (trajectory memo and fixed-point early exit both off) before those two
 // fast paths were removed, and both fast paths reproduced them.  A change
@@ -941,8 +927,9 @@ TEST(EpochSimulator, WindowBytesArePinned) {
   {
     // The dense reference backend gives the banded default's bytes.
     ThermalModel::clearSharedTransientCacheForTest();
-    const ScopedEnvFlag dense("HAYAT_DENSE_SOLVER");
-    System system = System::create(gridConfig(4), 77);
+    SystemConfig dense = gridConfig(4);
+    dense.thermal.solver = RcSolver::Mode::Dense;
+    System system = System::create(dense, 77);
     const WorkloadMix mix = smallMix(8, 5);
     EpochConfig ec;
     ec.window = 0.3;

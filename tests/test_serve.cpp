@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -696,6 +697,29 @@ TEST(ServeServerTest, DrainRefusesNewJobsAndFinishesRunningOnes) {
   server.stop();
 }
 
+/// SIGKILLs a forked process group and reaps its leader when the scope
+/// ends, on every exit path (a failed ASSERT included), so neither the
+/// daemon nor a worker it forked outlives the test.
+class ForkedGroup {
+ public:
+  explicit ForkedGroup(pid_t leader) : leader_(leader) {}
+  ~ForkedGroup() { kill(); }
+  ForkedGroup(const ForkedGroup&) = delete;
+  ForkedGroup& operator=(const ForkedGroup&) = delete;
+
+  void kill() {
+    if (leader_ <= 0) return;
+    ::kill(-leader_, SIGKILL);
+    ::kill(leader_, SIGKILL);  // should the group not exist yet
+    int status = 0;
+    while (::waitpid(leader_, &status, 0) < 0 && errno == EINTR) continue;
+    leader_ = -1;
+  }
+
+ private:
+  pid_t leader_;
+};
+
 /// The SIGKILL-mid-sweep recovery contract.  A child process runs a real
 /// daemon; the parent submits a job, waits until it is running, SIGKILLs
 /// the child (no drain, no cleanup), then replays the same queue
@@ -712,9 +736,14 @@ TEST(ServeServerTest, SigkillMidSweepRecoversToByteIdenticalResults) {
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
+    ::setpgid(0, 0);
     ::close(portPipe[0]);
+    // The daemon's one forked worker serves the first task and then
+    // wedges, so the job is still running when the kill lands, however
+    // fast the host.  The plan lives in this process only.
+    ::setenv("HAYAT_FAULT_PLAN", "stall:worker=0,after=1", 1);
     ServeConfig config = smallServerConfig(queueDir.path(), cacheDir.path());
-    config.localWorkers = 1;  // slow enough to be caught mid-sweep
+    config.dispatch = "proc:1";
     ServeServer server(config);
     if (!server.start()) ::_exit(1);
     const int port = server.port();
@@ -723,6 +752,8 @@ TEST(ServeServerTest, SigkillMidSweepRecoversToByteIdenticalResults) {
     ::close(portPipe[1]);
     for (;;) ::pause();  // serve until SIGKILLed
   }
+  ::setpgid(child, child);  // whichever side runs first makes the group
+  ForkedGroup daemon(child);
   ::close(portPipe[1]);
   int port = 0;
   ASSERT_EQ(::read(portPipe[0], &port, sizeof(port)),
@@ -734,10 +765,7 @@ TEST(ServeServerTest, SigkillMidSweepRecoversToByteIdenticalResults) {
                           engine::encodeSpec(spec), {}, resp));
   ASSERT_EQ(resp.status, 201);
   ASSERT_TRUE(awaitJobState(port, "j1", "running"));
-
-  ::kill(child, SIGKILL);
-  int status = 0;
-  ::waitpid(child, &status, 0);
+  daemon.kill();
 
   // Restart on the same queue directory: the journal replays, the
   // running job is demoted to queued, rerun, and streams the same bytes.

@@ -475,29 +475,19 @@ INSTANTIATE_TEST_SUITE_P(Subdivisions, SubdivisionSweep,
 
 // --- Sparse vs dense solver paths ----------------------------------------
 
-/// Sets HAYAT_DENSE_SOLVER for the lifetime of one scope.
-class ScopedDenseSolver {
- public:
-  explicit ScopedDenseSolver(bool dense) {
-    setenv("HAYAT_DENSE_SOLVER", dense ? "1" : "0", 1);
-  }
-  ~ScopedDenseSolver() { unsetenv("HAYAT_DENSE_SOLVER"); }
-};
+/// `config` on the dense reference LU.
+ThermalConfig denseConfig(ThermalConfig config) {
+  config.solver = RcSolver::Mode::Dense;
+  return config;
+}
 
 TEST(SolverPaths, BlockModelSteadyStateBitwiseIdentical) {
   Vector power(64, 0.0);
   for (int i = 0; i < 64; ++i)
     power[static_cast<std::size_t>(i)] = (i % 3 == 0) ? 6.0 : 1.5;
-  Vector banded;
-  Vector dense;
-  {
-    const ScopedDenseSolver env(false);
-    banded = ThermalModel(paperConfig()).steadyState(power);
-  }
-  {
-    const ScopedDenseSolver env(true);
-    dense = ThermalModel(paperConfig()).steadyState(power);
-  }
+  const Vector banded = ThermalModel(paperConfig()).steadyState(power);
+  const Vector dense =
+      ThermalModel(denseConfig(paperConfig())).steadyState(power);
   ASSERT_EQ(banded.size(), dense.size());
   for (std::size_t i = 0; i < banded.size(); ++i)
     EXPECT_EQ(banded[i], dense[i]) << "node " << i;
@@ -505,21 +495,14 @@ TEST(SolverPaths, BlockModelSteadyStateBitwiseIdentical) {
 
 TEST(SolverPaths, BlockModelTransientBitwiseIdentical) {
   ThermalModel::clearSharedTransientCacheForTest();
-  Vector power(16, 4.0);
-  Vector banded;
-  Vector dense;
-  {
-    const ScopedDenseSolver env(false);
-    const ThermalModel m(paperConfig(4, 4));
+  const Vector power(16, 4.0);
+  const auto run = [&](const ThermalConfig& config) {
+    const ThermalModel m(config);
     const TransientSolver solver(m, 6.6e-3);
-    banded = solver.run(m.steadyState(Vector(16, 0.0)), power, 50);
-  }
-  {
-    const ScopedDenseSolver env(true);
-    const ThermalModel m(paperConfig(4, 4));
-    const TransientSolver solver(m, 6.6e-3);
-    dense = solver.run(m.steadyState(Vector(16, 0.0)), power, 50);
-  }
+    return solver.run(m.steadyState(Vector(16, 0.0)), power, 50);
+  };
+  const Vector banded = run(paperConfig(4, 4));
+  const Vector dense = run(denseConfig(paperConfig(4, 4)));
   ASSERT_EQ(banded.size(), dense.size());
   for (std::size_t i = 0; i < banded.size(); ++i)
     EXPECT_EQ(banded[i], dense[i]) << "node " << i;
@@ -532,16 +515,9 @@ TEST(SolverPaths, GridModelBitwiseIdentical) {
   Vector power(16, 0.0);
   for (int i = 0; i < 16; ++i)
     power[static_cast<std::size_t>(i)] = 1.0 + 0.25 * i;
-  Vector banded;
-  Vector dense;
-  {
-    const ScopedDenseSolver env(false);
-    banded = GridThermalModel(gc).steadyState(power);
-  }
-  {
-    const ScopedDenseSolver env(true);
-    dense = GridThermalModel(gc).steadyState(power);
-  }
+  const Vector banded = GridThermalModel(gc).steadyState(power);
+  gc.base.solver = RcSolver::Mode::Dense;
+  const Vector dense = GridThermalModel(gc).steadyState(power);
   ASSERT_EQ(banded.size(), dense.size());
   for (std::size_t i = 0; i < banded.size(); ++i)
     EXPECT_EQ(banded[i], dense[i]) << "node " << i;
@@ -726,7 +702,6 @@ TEST(BlockedSweeps, TransientOperatorFactorsAreZeroOutsideTheEnvelope) {
     // The operator the epoch step loop solves with (EpochConfig's step).
     const auto op = m.transientOperator(6.6e-3);
     const RcSolver& solver = op->solver;
-    if (solver.usesDense()) GTEST_SKIP() << "dense reference selected";
     const BandedFactorization& lu = *solver.banded();
     const int n = lu.size();
     long envelope = 0;
