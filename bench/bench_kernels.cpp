@@ -45,6 +45,16 @@
 // perf-smoke gate requires the 2-lane step at 8x8 to beat the 1-lane
 // one.
 //
+// A "predictor_sweep" section (v8) times one fixed-point sweep of the
+// placement predictor (ThermalPredictor::predictInto with no extra
+// leakage iterations: one leakage pass plus one superposition product)
+// against a bench-local row-order twin that sums the same products in
+// the same order over the row-major influence matrix.  The library's
+// sweep runs column by column in register tiles of eight rows
+// (DESIGN.md §3.11); each row reports both times and whether the two
+// outputs are bitwise equal.  CI's perf-smoke gate requires the tiled
+// sweep to beat the row-order one at 16x16.
+//
 // A "failure_breakdown" section (v5) times the Monte Carlo lifetime
 // distribution of DESIGN.md §3.14 against its point-MTTF twin: the same
 // 4x4 lifetime task once with failure.samples = 0 and once with 256
@@ -74,6 +84,7 @@
 #include "core/hayat_policy.hpp"
 #include "core/lifetime.hpp"
 #include "core/system.hpp"
+#include "power/leakage.hpp"
 #include "runtime/epoch.hpp"
 #include "runtime/mapping.hpp"
 #include "runtime/thermal_predictor.hpp"
@@ -347,6 +358,59 @@ Entry benchLifetimeRun(int rows, int cols) {
   return e;
 }
 
+/// One predictor fixed-point sweep at the alternate-core load: the
+/// library's tiled column-order product against the row-order twin.
+struct PredictorSweep {
+  std::string config;
+  int cores = 0;
+  double tiledNs = 0.0;     ///< ThermalPredictor::predictInto, 1 sweep
+  double rowOrderNs = 0.0;  ///< the same sweep as row dot products
+  bool bitwiseEqual = false;
+
+  double speedup() const { return tiledNs > 0.0 ? rowOrderNs / tiledNs : 0.0; }
+};
+
+PredictorSweep benchPredictorSweep(int rows, int cols, double minRepNs) {
+  const System system = System::create(benchSystemConfig(rows, cols), 2015);
+  const ThermalModel& thermal = system.thermal();
+  const LeakageModel& leakage = system.leakage();
+  const int n = thermal.coreCount();
+  const auto size = static_cast<std::size_t>(n);
+  const Vector power = alternatePower(n);
+  std::vector<bool> on(size);
+  for (std::size_t i = 0; i < size; ++i) on[i] = power[i] > 0.0;
+
+  PredictorSweep b;
+  b.config = gridLabel(rows, cols);
+  b.cores = n;
+  const ThermalPredictor predictor(thermal, leakage, 0);
+  Vector tiled;
+  Vector scratch;
+  b.tiledNs = timeNs([&] { predictor.predictInto(power, on, tiled, scratch); },
+                     minRepNs, 5);
+
+  const Matrix& k = thermal.coreInfluenceMatrix();
+  const Kelvin ambient = thermal.config().ambient;
+  Vector rowOrder(size);
+  Vector total(size);
+  const auto rowOrderSweep = [&] {
+    for (int i = 0; i < n; ++i) {
+      const auto s = static_cast<std::size_t>(i);
+      total[s] = power[s] + leakage.coreLeakage(i, ambient, on[s]);
+    }
+    for (int i = 0; i < n; ++i) {
+      double acc = ambient;
+      for (int j = 0; j < n; ++j)
+        acc += k(i, j) * total[static_cast<std::size_t>(j)];
+      rowOrder[static_cast<std::size_t>(i)] = acc;
+    }
+  };
+  b.rowOrderNs = timeNs(rowOrderSweep, minRepNs, 5);
+  b.bitwiseEqual =
+      std::memcmp(tiled.data(), rowOrder.data(), size * sizeof(double)) == 0;
+  return b;
+}
+
 /// Phase split of the batched-default lifetime run (lifetimePhaseNanos),
 /// plus the baseline-maintenance share of the policy bucket
 /// (predictorBaselineNanos: makeBaseline / refreshBaseline /
@@ -450,11 +514,12 @@ void writeJson(const std::string& path, const std::string& mode,
                const std::vector<Entry>& entries,
                const std::vector<Breakdown>& breakdowns,
                const std::vector<ThermalBreakdown>& thermalBreakdowns,
+               const std::vector<PredictorSweep>& predictorSweeps,
                const std::vector<FailureBreakdown>& failureBreakdowns) {
   std::ofstream out(path);
   out << "{\n"
       << "  \"benchmark\": \"bench_kernels\",\n"
-      << "  \"version\": 7,\n"
+      << "  \"version\": 8,\n"
       << "  \"mode\": \"" << mode << "\",\n"
       << "  \"units\": \"nanoseconds\",\n"
       << "  \"results\": [\n";
@@ -506,6 +571,19 @@ void writeJson(const std::string& path, const std::string& mode,
                   t.sweepNs, t.laneStepNs[0], t.laneStepNs[1],
                   t.laneStepNs[2],
                   i + 1 < thermalBreakdowns.size() ? "," : "");
+    out << buf;
+  }
+  out << "  ],\n"
+      << "  \"predictor_sweep\": [\n";
+  for (std::size_t i = 0; i < predictorSweeps.size(); ++i) {
+    const PredictorSweep& p = predictorSweeps[i];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"config\": \"%s\", \"cores\": %d, "
+                  "\"tiled_ns\": %.1f, \"row_order_ns\": %.1f, "
+                  "\"speedup\": %.2f, \"bitwise_equal\": %s}%s\n",
+                  p.config.c_str(), p.cores, p.tiledNs, p.rowOrderNs,
+                  p.speedup(), p.bitwiseEqual ? "true" : "false",
+                  i + 1 < predictorSweeps.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n"
@@ -589,6 +667,12 @@ int main(int argc, char** argv) {
        std::vector<std::pair<int, int>>{{4, 4}, {8, 8}, {16, 16}})
     thermalBreakdowns.push_back(
         benchThermalBreakdown(rows, cols, small ? 0.0 : minRepNs));
+  // Predictor fixed-point sweep, tiled vs row order: 8x8 and 16x16 in
+  // both modes (microseconds per sweep; CI gates the 16x16 row).
+  std::vector<PredictorSweep> predictorSweeps;
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<int, int>>{{8, 8}, {16, 16}})
+    predictorSweeps.push_back(benchPredictorSweep(rows, cols, minRepNs));
   // Failure Monte Carlo cost: always the 4x4 task at 256 samples (what
   // the CI perf-smoke gate budgets); full mode adds the 8x8 point.
   // minRepNs applies even in small mode: the CI gate budgets the
@@ -619,6 +703,13 @@ int main(int argc, char** argv) {
     std::printf("%-20s %-10s %12.0f %12.1f %12.1f %12.1f %12.1f %12.1f\n", "",
                 t.config.c_str(), t.factorNs, t.permuteNs, t.sweepNs,
                 t.laneStepNs[0], t.laneStepNs[1], t.laneStepNs[2]);
+  std::printf("\n%-20s %-10s %8s %12s %14s %9s %8s\n", "predictor-sweep",
+              "config", "cores", "tiled [ns]", "row-order [ns]", "speedup",
+              "bitwise");
+  for (const PredictorSweep& p : predictorSweeps)
+    std::printf("%-20s %-10s %8d %12.0f %14.0f %8.2fx %8s\n", "",
+                p.config.c_str(), p.cores, p.tiledNs, p.rowOrderNs,
+                p.speedup(), p.bitwiseEqual ? "yes" : "NO");
   std::printf("\n%-20s %-10s %8s %12s %14s %9s %8s %8s\n",
               "failure-breakdown", "config", "samples", "point [ns]",
               "dist [ns]", "overhead", "em", "tddb");
@@ -627,7 +718,7 @@ int main(int argc, char** argv) {
                 f.config.c_str(), f.samples, f.pointNs, f.distributionNs,
                 f.overhead(), f.emKills, f.tddbKills);
   writeJson(outPath, small ? "small" : "full", entries, breakdowns,
-            thermalBreakdowns, failureBreakdowns);
+            thermalBreakdowns, predictorSweeps, failureBreakdowns);
   std::printf("wrote %s\n", outPath.c_str());
   return 0;
 }

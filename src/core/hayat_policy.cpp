@@ -166,6 +166,7 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
   // Telemetry totals are accumulated locally and emitted after the loop
   // so sharded-counter bootstrap cannot charge the alloc contract.
   std::uint64_t candidatesFeasibleTotal = 0;
+  std::uint64_t guardTotals[4] = {};  // indexed by GuardPath
   int commitsSinceAnchor = 0;
   const std::uint64_t allocsBefore = heapAllocationCount();
 
@@ -214,14 +215,14 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
       // worst-case settings, Section IV-C): an average-power check would
       // admit placements whose phase peaks trip the DTM all epoch long.
       // evaluateCandidate decides the guard from O(1) bounds in the
-      // common case and returns the closed-form average-power fields —
-      // bitwise what predictCandidateStats would produce.
+      // common case and returns the closed-form average-power fields.
       const Watts peakPower =
           std::max(t.peakPower, t.averagePower) *
           (freq / context.nominalFrequency);
       const ThermalPredictor::CandidateDecision decision =
           predictor.evaluateCandidate(sc.baseline, cand, addedPower,
                                       peakPower, context.tsafe);
+      ++guardTotals[static_cast<int>(decision.guard)];
       if (!decision.admitted) {  // line 12-13
         // Stash the already-computed average-power delta and an O(1)
         // peak floor (the candidate's own and hot-spot terms of the
@@ -256,6 +257,10 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
     // could prefer it.  Health lookups run in kHealthChunk batches so
     // the inverse solves keep interleaving; chunking and order leave
     // every estimate bitwise-unchanged (nextHealthMany is element-wise).
+    // The order is a heap popped one examined survivor at a time: only a
+    // handful are examined before the bound stops the scan, and the key
+    // (bound descending, then index ascending) is a strict total order,
+    // so the pop sequence is exactly the fully sorted sequence.
     const int survivors = static_cast<int>(sc.survivorCores.size());
     const double betaNow = context.elapsedYears >= config_.lateAgingOnset
                                ? config_.lateBeta
@@ -270,36 +275,40 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
                    context.observedWearOf(cand));
       sc.healthOrder[static_cast<std::size_t>(i)] = i;
     }
-    std::sort(sc.healthOrder.begin(),
-              sc.healthOrder.begin() + survivors, [&sc](int a, int b) {
-                const double ua = sc.healthUb[static_cast<std::size_t>(a)];
-                const double ub = sc.healthUb[static_cast<std::size_t>(b)];
-                if (ua != ub) return ua > ub;
-                return a < b;
-              });
+    const auto popsLater = [&sc](int a, int b) {
+      const double ua = sc.healthUb[static_cast<std::size_t>(a)];
+      const double ub = sc.healthUb[static_cast<std::size_t>(b)];
+      if (ua != ub) return ua < ub;
+      return a > b;
+    };
+    int* const heapBegin = sc.healthOrder.data();
+    int* heapEnd = heapBegin + survivors;
+    std::make_heap(heapBegin, heapEnd, popsLater);
     int bestIdx = -1;
     double bestWeight = 0.0;
     double bestAvgT = 0.0;
-    int next = 0;
-    while (next < survivors) {
+    while (heapEnd != heapBegin) {
       if (bestIdx >= 0 &&
-          sc.healthUb[static_cast<std::size_t>(
-              sc.healthOrder[static_cast<std::size_t>(next)])] < bestWeight)
+          sc.healthUb[static_cast<std::size_t>(*heapBegin)] < bestWeight)
         break;
-      const int chunk = std::min(kHealthChunk, survivors - next);
+      const int chunk =
+          std::min(kHealthChunk, static_cast<int>(heapEnd - heapBegin));
+      int chunkIdx[kHealthChunk];
       int chunkCores[kHealthChunk];
       double chunkTemp[kHealthChunk];
       double chunkHealth[kHealthChunk];
       for (int j = 0; j < chunk; ++j) {
-        const auto idx = static_cast<std::size_t>(
-            sc.healthOrder[static_cast<std::size_t>(next + j)]);
+        std::pop_heap(heapBegin, heapEnd, popsLater);
+        --heapEnd;
+        chunkIdx[j] = *heapEnd;
+        const auto idx = static_cast<std::size_t>(chunkIdx[j]);
         chunkCores[j] = sc.survivorCores[idx];
         chunkTemp[j] = sc.survivorTemp[idx];
       }
       sc.snapshot.nextHealthMany(chunkCores, chunkTemp, t.averageDuty,
                                  context.epochYears, chunk, chunkHealth);
       for (int j = 0; j < chunk; ++j) {
-        const int idx = sc.healthOrder[static_cast<std::size_t>(next + j)];
+        const int idx = chunkIdx[j];
         HayatCandidate& record = s[static_cast<std::size_t>(idx)];
         const int cand = record.core;
         const double hNext = chunkHealth[j];
@@ -320,7 +329,6 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
           bestAvgT = record.averageNextTemperature;
         }
       }
-      next += chunk;
     }
 
     if (s.empty()) {
@@ -334,25 +342,31 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
       // incumbent minimum, no later candidate can beat or tie it, so the
       // saturated-chip regime — where this branch runs for most
       // placements — settles after a handful of full peak walks and no
-      // repeated leakage evaluations.
+      // repeated leakage evaluations.  The floor order is a heap popped
+      // only as far as the scan gets; its key (floor ascending, then
+      // index ascending) is a strict total order, so the pops follow the
+      // sorted order.
       const int fcount = static_cast<int>(sc.rejectCores.size());
       for (int i = 0; i < fcount; ++i)
         sc.rejectOrder[static_cast<std::size_t>(i)] = i;
-      std::sort(sc.rejectOrder.begin(), sc.rejectOrder.begin() + fcount,
-                [&sc](int a, int b) {
-                  const double ka =
-                      sc.rejectFloor[static_cast<std::size_t>(a)];
-                  const double kb =
-                      sc.rejectFloor[static_cast<std::size_t>(b)];
-                  if (ka != kb) return ka < kb;
-                  return a < b;
-                });
+      const auto popsLaterFloor = [&sc](int a, int b) {
+        const double ka = sc.rejectFloor[static_cast<std::size_t>(a)];
+        const double kb = sc.rejectFloor[static_cast<std::size_t>(b)];
+        if (ka != kb) return ka > kb;
+        return a > b;
+      };
+      int* const rejectBegin = sc.rejectOrder.data();
+      int* rejectEnd = rejectBegin + fcount;
+      std::make_heap(rejectBegin, rejectEnd, popsLaterFloor);
       int coolest = -1;
       double bestT = std::numeric_limits<double>::infinity();
-      for (int oi = 0; oi < fcount; ++oi) {
-        const auto idx = static_cast<std::size_t>(
-            sc.rejectOrder[static_cast<std::size_t>(oi)]);
-        if (coolest >= 0 && sc.rejectFloor[idx] > bestT) break;
+      while (rejectEnd != rejectBegin) {
+        if (coolest >= 0 &&
+            sc.rejectFloor[static_cast<std::size_t>(*rejectBegin)] > bestT)
+          break;
+        std::pop_heap(rejectBegin, rejectEnd, popsLaterFloor);
+        --rejectEnd;
+        const auto idx = static_cast<std::size_t>(*rejectEnd);
         const int cand = sc.rejectCores[idx];
         // Bounded variant of the main sweep's fused pass at average
         // power for both levels: the exact max_i of the average-power
@@ -406,6 +420,19 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
         telemetry::Registry::global().counter(
             "hayat_policy_candidates_total");
     feasibleCounter.add(candidatesFeasibleTotal);
+    // Which branch of the Tsafe guard decided each candidate
+    // (ThermalPredictor::GuardPath order).
+    static telemetry::Counter* const guardCounters[4] = {
+        &telemetry::Registry::global().counter(
+            "hayat_policy_tsafe_self_reject_total"),
+        &telemetry::Registry::global().counter(
+            "hayat_policy_tsafe_hot_reject_total"),
+        &telemetry::Registry::global().counter(
+            "hayat_policy_tsafe_bound_admit_total"),
+        &telemetry::Registry::global().counter(
+            "hayat_policy_tsafe_gray_walk_total"),
+    };
+    for (int k = 0; k < 4; ++k) guardCounters[k]->add(guardTotals[k]);
   }
 }
 

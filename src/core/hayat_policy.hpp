@@ -139,14 +139,16 @@ class HayatPolicy : public MappingPolicy {
     std::vector<int> survivorCores;
     std::vector<double> survivorTemp;
     std::vector<double> healthUb;    ///< per-survivor weight upper bound
-    std::vector<int> healthOrder;    ///< survivor indices, bound-descending
+    std::vector<int> healthOrder;    ///< survivor indices, a heap popped
+                                     ///< bound-descending
     // Tsafe rejects of the round, with the deltas/floors the main sweep
     // already paid for — the all-rejected fallback scan reuses them
     // instead of re-running the leakage jump per candidate.
     std::vector<int> rejectCores;
     std::vector<double> rejectDelta;  ///< CandidateDecision::deltaNext
     std::vector<double> rejectFloor;  ///< O(1) lower bound on the peak
-    std::vector<int> rejectOrder;     ///< reject indices, floor-ascending
+    std::vector<int> rejectOrder;     ///< reject indices, a heap popped
+                                      ///< floor-ascending
   };
 
   HayatConfig config_;

@@ -74,6 +74,51 @@ void addColumnScaled(const double* col, double delta, const double* base,
   for (int i = 0; i < n; ++i) out[i] = base[i] + col[i] * delta;
 }
 
+/// One superposition sweep: out[i] = ambient + sum_j K(i,j) * s[j] with
+/// each out[i] summed in index order j = 0..n-1 — the row dot product's
+/// exact add chain — computed column by column over the transposed
+/// kernel `kt` (row j of kt is column j of K).  A tile of eight rows
+/// keeps eight independent chains in registers, so the sweep advances
+/// eight adds per column element instead of waiting on one chain; every
+/// chain still adds the same products in the same order, so the result
+/// is bitwise the row-order product.  Rows past the last full tile run
+/// the same chain one at a time.  `out` must not alias `s`.
+void influenceSweep(const double* kt, int n, double ambient, const double* s,
+                    double* out) {
+  const auto stride = static_cast<std::size_t>(n);
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    double a0 = ambient, a1 = ambient, a2 = ambient, a3 = ambient;
+    double a4 = ambient, a5 = ambient, a6 = ambient, a7 = ambient;
+    const double* col = kt + i;
+    for (int j = 0; j < n; ++j, col += stride) {
+      const double sj = s[j];
+      a0 += col[0] * sj;
+      a1 += col[1] * sj;
+      a2 += col[2] * sj;
+      a3 += col[3] * sj;
+      a4 += col[4] * sj;
+      a5 += col[5] * sj;
+      a6 += col[6] * sj;
+      a7 += col[7] * sj;
+    }
+    out[i] = a0;
+    out[i + 1] = a1;
+    out[i + 2] = a2;
+    out[i + 3] = a3;
+    out[i + 4] = a4;
+    out[i + 5] = a5;
+    out[i + 6] = a6;
+    out[i + 7] = a7;
+  }
+  for (; i < n; ++i) {
+    double acc = ambient;
+    const double* col = kt + i;
+    for (int j = 0; j < n; ++j, col += stride) acc += *col * s[j];
+    out[i] = acc;
+  }
+}
+
 }  // namespace
 
 std::uint64_t predictorBaselineNanos() {
@@ -90,7 +135,6 @@ ThermalPredictor::ThermalPredictor(const ThermalModel& thermal,
     : thermal_(&thermal),
       leakage_(&leakage),
       leakageIterations_(leakageIterations),
-      kernel_(&thermal.coreInfluenceMatrix()),
       profile_(&thermal.coreInfluenceProfile()) {
   HAYAT_REQUIRE(leakageIterations >= 0, "negative leakage iteration count");
 }
@@ -134,12 +178,8 @@ void ThermalPredictor::predictInto(const Vector& dynamicPower,
       scratch[s] = dynamicPower[s] +
                    leakage_->coreLeakage(i, out[s], poweredOn[s]);
     }
-    for (int i = 0; i < n; ++i) {
-      double acc = ambient;
-      for (int j = 0; j < n; ++j)
-        acc += (*kernel_)(i, j) * scratch[static_cast<std::size_t>(j)];
-      out[static_cast<std::size_t>(i)] = acc;
-    }
+    influenceSweep(profile_->transposed.data().data(), n, ambient,
+                   scratch.data(), out.data());
   }
 }
 
@@ -230,89 +270,6 @@ void ThermalPredictor::commitPlacement(Baseline& baseline, int candidateCore,
   baseline.temperatureMaxIndex = canonicalArgMax(baseline.temperatures);
 }
 
-ThermalPredictor::CandidateStats ThermalPredictor::predictCandidateStats(
-    const Baseline& baseline, int candidateCore, Watts addedPower,
-    Watts peakPower) const {
-  const int n = coreCount();
-  HAYAT_REQUIRE(candidateCore >= 0 && candidateCore < n,
-                "candidate core out of range");
-  HAYAT_REQUIRE(addedPower >= 0.0, "negative candidate power");
-  HAYAT_REQUIRE(peakPower >= 0.0, "negative candidate peak power");
-  HAYAT_REQUIRE(static_cast<int>(baseline.temperatures.size()) == n,
-                "baseline size mismatch");
-
-  // The gated->on leakage jump is the same pure function of the baseline
-  // temperature for both power levels, so it is evaluated once and added
-  // to both deltas — exactly the value each unfused predict would add.
-  const auto c = static_cast<std::size_t>(candidateCore);
-  double jump = 0.0;
-  if (!baseline.poweredOn[c]) {
-    jump = leakage_->coreLeakageOn(candidateCore, baseline.temperatures[c]) -
-           leakage_->coreLeakageGated();
-  }
-  const double deltaNext = addedPower + jump;
-  const double deltaPeak = peakPower + jump;
-
-  const double* base = baseline.temperatures.data();
-  const double* col = kernelColumn(candidateCore);
-
-  CandidateStats stats;
-  // Closed-form tSum: superposition is linear, so the sum of the
-  // predicted vector is the baseline sum plus delta times the column sum.
-  stats.sumNext = baseline.temperatureSum + deltaNext * columnSum(candidateCore);
-  // Blocked tMax: four independent max lanes over the contiguous column.
-  // max is associative and order-independent over the (NaN-free,
-  // positive) temperatures, so any lane split gives the same result as
-  // the sequential reference.
-  const double lowest = -1.7976931348623157e308;
-  double m0 = lowest, m1 = lowest, m2 = lowest, m3 = lowest;
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    m0 = std::max(m0, base[i] + col[i] * deltaPeak);
-    m1 = std::max(m1, base[i + 1] + col[i + 1] * deltaPeak);
-    m2 = std::max(m2, base[i + 2] + col[i + 2] * deltaPeak);
-    m3 = std::max(m3, base[i + 3] + col[i + 3] * deltaPeak);
-  }
-  double m = std::max(std::max(m0, m1), std::max(m2, m3));
-  for (; i < n; ++i) m = std::max(m, base[i] + col[i] * deltaPeak);
-  stats.maxPeak = std::max(m, 0.0);  // the reference accumulator starts at 0
-  stats.candidateNext = base[c] + col[c] * deltaNext;
-  return stats;
-}
-
-ThermalPredictor::CandidateStats
-ThermalPredictor::predictCandidateStatsReference(const Baseline& baseline,
-                                                 int candidateCore,
-                                                 Watts addedPower,
-                                                 Watts peakPower) const {
-  const int n = coreCount();
-  HAYAT_REQUIRE(candidateCore >= 0 && candidateCore < n,
-                "candidate core out of range");
-  HAYAT_REQUIRE(addedPower >= 0.0, "negative candidate power");
-  HAYAT_REQUIRE(peakPower >= 0.0, "negative candidate peak power");
-  HAYAT_REQUIRE(static_cast<int>(baseline.temperatures.size()) == n,
-                "baseline size mismatch");
-
-  const auto c = static_cast<std::size_t>(candidateCore);
-  double jump = 0.0;
-  if (!baseline.poweredOn[c]) {
-    jump = leakage_->coreLeakageOn(candidateCore, baseline.temperatures[c]) -
-           leakage_->coreLeakageGated();
-  }
-  const double deltaNext = addedPower + jump;
-  const double deltaPeak = peakPower + jump;
-
-  const double* base = baseline.temperatures.data();
-  const double* col = kernelColumn(candidateCore);
-
-  CandidateStats stats;
-  stats.sumNext = baseline.temperatureSum + deltaNext * columnSum(candidateCore);
-  for (int i = 0; i < n; ++i)
-    stats.maxPeak = std::max(stats.maxPeak, base[i] + col[i] * deltaPeak);
-  stats.candidateNext = base[c] + col[c] * deltaNext;
-  return stats;
-}
-
 ThermalPredictor::CandidateDecision ThermalPredictor::evaluateCandidate(
     const Baseline& baseline, int candidateCore, Watts addedPower,
     Watts peakPower, Kelvin tsafe) const {
@@ -341,33 +298,43 @@ ThermalPredictor::CandidateDecision ThermalPredictor::evaluateCandidate(
   d.candidateNext = base[c] + col[c] * deltaNext;
   d.deltaNext = deltaNext;
 
-  // The guard is `max(walkMax, 0) >= tsafe`; decide it without the walk
-  // where a bound is conclusive.  The candidate's own peak temperature is
-  // one term of the max (a lower bound — conclusive rejection), and with
+  // The guard is `max(walkMax, 0) >= tsafe`, where walkMax is
+  // max_i base[i] + col[i] * deltaPeak; decide it without the walk where
+  // a bound is conclusive.  The candidate's own peak temperature is one
+  // term of the max (a lower bound — conclusive rejection), and with
   // deltaPeak >= 0 every other term is at most
   // temperatureMax + columnMaxOff * deltaPeak (conclusive admission).
   // Both bounds evaluate the exact same arithmetic the walk would, so the
-  // boolean is identical to predictCandidateStats' in every case.
+  // boolean is identical to the full walk's in every case.
   if (tsafe <= 0.0) {
-    d.admitted = false;  // maxPeak is clamped at 0, so 0 >= tsafe
+    d.admitted = false;  // the peak is clamped at 0, so 0 >= tsafe
+    d.guard = GuardPath::SelfReject;
     return d;
   }
   const double selfPeak = base[c] + col[c] * deltaPeak;
-  if (selfPeak >= tsafe) return d;  // rejected: one term already trips
+  if (selfPeak >= tsafe) {  // rejected: one term already trips
+    d.guard = GuardPath::SelfReject;
+    return d;
+  }
   const auto hot = static_cast<std::size_t>(baseline.temperatureMaxIndex);
-  if (base[hot] + col[hot] * deltaPeak >= tsafe) return d;  // hot-spot term
+  if (base[hot] + col[hot] * deltaPeak >= tsafe) {  // hot-spot term
+    d.guard = GuardPath::HotReject;
+    return d;
+  }
   if (deltaPeak >= 0.0) {
     const double upper =
         std::max(selfPeak, baseline.temperatureMax +
                                profile_->columnMaxOff[c] * deltaPeak);
     if (upper < tsafe) {
       d.admitted = true;
+      d.guard = GuardPath::BoundAdmit;
       return d;
     }
   }
-  // Gray zone: the blocked walk of predictCandidateStats with a
-  // per-block exceedance check (any term at or above tsafe rejects —
-  // block order does not change the boolean).
+  // Gray zone: the blocked peak walk with a per-block exceedance check
+  // (any term at or above tsafe rejects — block order does not change
+  // the boolean).
+  d.guard = GuardPath::GrayWalk;
   constexpr int kBlock = 32;
   int i = 0;
   for (; i + kBlock <= n; i += kBlock) {

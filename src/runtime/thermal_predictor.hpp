@@ -17,9 +17,10 @@
 //
 // Placement-loop fast path (DESIGN.md §3.11): the influence matrix is
 // row-major, so a per-candidate column walk strides by n.  The predictor
-// therefore reads the ThermalModel's column-major influence profile
+// therefore reads only the ThermalModel's column-major influence profile
 // (transposed kernel + per-column aggregates, built once per model, so
-// constructing a predictor per placement round costs O(1)), and a
+// constructing a predictor per placement round costs O(1)); the full
+// fixed point sweeps the same transpose in register tiles, and a
 // Baseline carries the canonical sum and max of its temperatures so the
 // candidate's tSum reduction is closed-form and the Tsafe guard usually
 // decides from O(1) bounds (evaluateCandidate).  Committing a chosen
@@ -53,7 +54,10 @@ class ThermalPredictor {
 
   /// Allocation-free predict(): `out` receives the temperatures and
   /// `scratch` holds the per-sweep total-power buffer (both resized once).
-  /// Bitwise-identical to predict().
+  /// Bitwise-identical to predict().  Each sweep runs column by column
+  /// over the transposed kernel in register tiles of eight rows, summing
+  /// every row in the row dot product's order (DESIGN.md §3.11), so the
+  /// result is bitwise the row-order product.
   void predictInto(const Vector& dynamicPower,
                    const std::vector<bool>& poweredOn, Vector& out,
                    Vector& scratch) const;
@@ -112,69 +116,53 @@ class ThermalPredictor {
   void commitPlacement(Baseline& baseline, int candidateCore,
                        Watts addedPower) const;
 
-  /// The three reductions Algorithm 1 needs per candidate, in one fused
-  /// pass over the kernel column and without materializing either
-  /// temperature vector.
-  struct CandidateStats {
-    double sumNext = 0.0;        ///< sum_i T_i with `addedPower` placed
-    double maxPeak = 0.0;        ///< max_i T_i with `peakPower` placed
-    double candidateNext = 0.0;  ///< the candidate's own T under addedPower
+  /// Which branch of evaluateCandidate decided the Tsafe guard.
+  enum class GuardPath {
+    SelfReject,  ///< the candidate's own peak term trips (or tsafe <= 0)
+    HotReject,   ///< the baseline hot spot's peak term trips
+    BoundAdmit,  ///< the O(1) upper bound clears tsafe
+    GrayWalk,    ///< between the bounds: the column walk decided
   };
 
-  /// Fuses the average- and worst-case-phase what-if predictions with the
-  /// policy's tSum / tMax reductions.  sumNext is closed-form
-  /// (temperatureSum + delta * columnSum — superposition is linear, so
-  /// the sum of the predicted vector is one multiply-add), and maxPeak is
-  /// a 4-lane blocked walk over the contiguous transposed kernel column;
-  /// max is order-independent, so the blocked walk is bitwise-identical
-  /// to the scalar reference (predictCandidateStatsReference, pinned
-  /// element-for-element by tests/test_hayat_policy.cpp).
-  CandidateStats predictCandidateStats(const Baseline& baseline,
-                                       int candidateCore, Watts addedPower,
-                                       Watts peakPower) const;
-
-  /// Unblocked scalar reference for predictCandidateStats: identical
-  /// expressions, plain sequential max.  The A/B anchor the blocked walk
-  /// is pinned against — not a fallback, there is no flag.
-  CandidateStats predictCandidateStatsReference(const Baseline& baseline,
-                                                int candidateCore,
-                                                Watts addedPower,
-                                                Watts peakPower) const;
-
   /// The guard + closed-form fields of one Algorithm-1 candidate without
-  /// the O(n) maxPeak walk in the common case.
+  /// the O(n) peak walk in the common case.
   struct CandidateDecision {
-    bool admitted = false;       ///< predictCandidateStats().maxPeak < tsafe
-    double sumNext = 0.0;        ///< bitwise CandidateStats::sumNext
-    double candidateNext = 0.0;  ///< bitwise CandidateStats::candidateNext
+    /// The what-if peak max(0, max_i base[i] + col[i] * deltaPeak) is
+    /// below tsafe.
+    bool admitted = false;
+    /// Closed-form sum of the average-power what-if temperatures:
+    /// temperatureSum + deltaNext * columnSum.
+    double sumNext = 0.0;
+    /// The candidate's own average-power what-if temperature.
+    double candidateNext = 0.0;
     /// The average-power what-if delta (addedPower plus the gated->on
     /// leakage jump at the baseline temperature).  Handing it back lets
     /// the caller re-query this candidate at average power
     /// (candidateMaxPeakBelow) without a second leakage evaluation —
     /// the jump is the expensive exp() chain of the per-candidate cost.
     double deltaNext = 0.0;
+    GuardPath guard = GuardPath::SelfReject;
   };
 
   /// Fused Algorithm-1 lines 8-13 for one candidate: the exact boolean
-  /// `predictCandidateStats(...).maxPeak >= tsafe` decided, in the common
-  /// case, from O(1) bounds — the candidate's own peak temperature (a
-  /// term of the max) rejects, and
+  /// `peak >= tsafe` for the worst-case-phase what-if peak, decided, in
+  /// the common case, from O(1) bounds — the candidate's own peak
+  /// temperature (a term of the max) rejects, and
   /// max(self term, temperatureMax + columnMaxOff * deltaPeak), an upper
   /// bound on every term, admits.  Only the gray zone between the bounds
-  /// walks the column, early-exiting at the first element at or above
-  /// tsafe.  The returned sumNext/candidateNext are the same closed-form
-  /// expressions as predictCandidateStats (one shared leakage-jump
-  /// evaluation), so an admitted candidate scores bitwise-identically to
-  /// the full-stats path (pinned by tests/test_hayat_policy.cpp).
+  /// walks the column, early-exiting at the first block at or above
+  /// tsafe.  sumNext/candidateNext share one leakage-jump evaluation
+  /// with the guard.  Pinned against a scalar full-walk reference, field
+  /// for field, by tests/test_hayat_policy.cpp.
   CandidateDecision evaluateCandidate(const Baseline& baseline,
                                       int candidateCore, Watts addedPower,
                                       Watts peakPower, Kelvin tsafe) const;
 
   /// The fallback path's bounded what-if peak for a candidate whose
   /// delta (CandidateDecision::deltaNext — average power plus leakage
-  /// jump) was already computed this round: the exact
-  /// predictCandidateStats(baseline, c, power, power).maxPeak when it is
-  /// at or below `bound`, +infinity otherwise.  A running max only
+  /// jump) was already computed this round: the exact average-power
+  /// what-if peak max(0, max_i base[i] + col[i] * delta) when it is at
+  /// or below `bound`, +infinity otherwise.  A running max only
   /// grows, so the walk stops at the first prefix already above the
   /// bound — any value the caller actually consumes (peaks at or below
   /// the incumbent, including exact ties) is bitwise the full walk's
@@ -194,7 +182,6 @@ class ThermalPredictor {
   const ThermalModel* thermal_;
   const LeakageModel* leakage_;
   int leakageIterations_;
-  const Matrix* kernel_;  ///< influence matrix (owned by the ThermalModel)
   /// Column-major kernel + per-column aggregates, owned by the
   /// ThermalModel (built once per model, shared by every predictor).
   const ThermalModel::InfluenceProfile* profile_;

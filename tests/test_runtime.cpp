@@ -20,6 +20,7 @@
 #include "core/hayat_policy.hpp"
 #include "core/system.hpp"
 #include "power/thermal_coupling.hpp"
+#include "predictor_reference.hpp"
 #include "runtime/dtm.hpp"
 #include "runtime/epoch.hpp"
 #include "runtime/health_estimator.hpp"
@@ -326,8 +327,8 @@ TEST_F(PredictorFixture, FusedCandidateStatsBitwiseMatchUnfused) {
     for (double temp : tNext) tSum += temp;
     for (double temp : tPeak) tMax = std::max(tMax, temp);
 
-    const ThermalPredictor::CandidateStats stats =
-        predictor.predictCandidateStats(baseline, cand, addedPower, peakPower);
+    const testref::CandidateStats stats = testref::candidateStats(
+        predictor, system_.leakage(), baseline, cand, addedPower, peakPower);
     // sumNext is closed-form since §3.11 (baseline sum + delta * column
     // sum) — algebraically equal to the elementwise chain but summed in
     // a different association, so it gets a tight relative tolerance

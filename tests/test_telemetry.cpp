@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -639,14 +640,31 @@ TEST(TelemetryByteIdentityTest, EnabledCollectionDoesNotChangeResults) {
   const SweepTable off = runLocal(spec);
   ASSERT_EQ(off.runs.size(), 4u);
 
+  // Hayat's Tsafe guard tallies: one branch per evaluated candidate.
+  telemetry::Registry& registry = telemetry::Registry::global();
+  const char* const guardNames[] = {"hayat_policy_tsafe_self_reject_total",
+                                    "hayat_policy_tsafe_hot_reject_total",
+                                    "hayat_policy_tsafe_bound_admit_total",
+                                    "hayat_policy_tsafe_gray_walk_total"};
+  const auto guardSum = [&] {
+    std::uint64_t sum = 0;
+    for (const char* name : guardNames) sum += registry.counter(name).value();
+    return sum;
+  };
+  const std::uint64_t guardsBefore = guardSum();
+  const std::uint64_t candidatesBefore =
+      registry.counter("hayat_policy_candidates_total").value();
+
   const telemetry::ScopedTelemetry on;
   const SweepTable withTelemetry = runLocal(spec);
   EXPECT_EQ(tableBytes(off), tableBytes(withTelemetry));
   // Collection actually happened while producing the identical table.
-  EXPECT_GT(telemetry::Registry::global()
-                .counter("hayat_lifetime_runs_total")
-                .value(),
-            0u);
+  EXPECT_GT(registry.counter("hayat_lifetime_runs_total").value(), 0u);
+  const std::uint64_t candidates =
+      registry.counter("hayat_policy_candidates_total").value() -
+      candidatesBefore;
+  EXPECT_GT(candidates, 0u);
+  EXPECT_EQ(guardSum() - guardsBefore, candidates);
 }
 
 TEST(DispatchTelemetryTest, WorkerCounterDeltasMergeOnTheCoordinator) {
