@@ -55,6 +55,17 @@
 // outputs are bitwise equal.  CI's perf-smoke gate requires the tiled
 // sweep to beat the row-order one at 16x16.
 //
+// A "startup" section (v9) times the two per-chip start-up kernels of
+// DESIGN.md §3.10 against bench-local reference twins: the variation
+// sampler's Cholesky factor of a chip's field covariance (the in-place
+// tiled CholeskyFactorization vs the plain column-order loops) at 8x8
+// and 16x16 chips — full mode adds 32x32 — and one aging-table fill
+// (the hoisted CorePathSet::delayFactorGrid behind AgingTable vs a
+// per-cell CorePathSet::delayFactor fill).  Each row reports both times
+// and whether the two results are bitwise equal (the factor's entries
+// plus L z for one random z; every table cell).  CI's perf-smoke gate
+// requires both kernels to beat their twins at 16x16, bitwise.
+//
 // A "failure_breakdown" section (v5) times the Monte Carlo lifetime
 // distribution of DESIGN.md §3.14 against its point-MTTF twin: the same
 // 4x4 lifetime task once with failure.samples = 0 and once with 256
@@ -71,6 +82,7 @@
 //   --small    CI mode: smallest configs only, short repetitions
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -79,7 +91,9 @@
 #include <utility>
 #include <vector>
 
+#include "aging/aging_table.hpp"
 #include "common/matrix.hpp"
+#include "common/rng.hpp"
 #include "common/sparse.hpp"
 #include "core/hayat_policy.hpp"
 #include "core/lifetime.hpp"
@@ -91,6 +105,8 @@
 #include "thermal/grid_model.hpp"
 #include "thermal/thermal_model.hpp"
 #include "thermal/transient.hpp"
+#include "variation/population.hpp"
+#include "variation/spatial_field.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -411,6 +427,130 @@ PredictorSweep benchPredictorSweep(int rows, int cols, double minRepNs) {
   return b;
 }
 
+/// One start-up kernel against its reference twin (§3.10 "Start-up
+/// kernels").
+struct StartupKernel {
+  std::string kernel;  ///< sampler_factor | aging_table_fill
+  std::string config;  ///< chip grid, or the table's axis sizes
+  int size = 0;        ///< field points, or table cells
+  double fastNs = 0.0;       ///< the library kernel
+  double referenceNs = 0.0;  ///< the bench-local twin
+  bool bitwiseEqual = false;
+
+  double speedup() const { return fastNs > 0.0 ? referenceNs / fastNs : 0.0; }
+};
+
+/// One cold run — for kernels that take seconds.
+double timeOnceNs(const std::function<void()>& fn) {
+  const Clock::time_point t0 = Clock::now();
+  fn();
+  return elapsedNs(t0);
+}
+
+/// The column-order Cholesky loops the tiled factor reproduces bitwise:
+/// each entry from A(i, j) (plus the diagonal jitter), minus
+/// L(i, k) L(j, k) in ascending k, times 1 / L(j, j).
+Matrix columnOrderCholesky(const Matrix& a) {
+  const int n = a.rows();
+  Matrix l(n, n);
+  double maxDiag = 0.0;
+  for (int i = 0; i < n; ++i) maxDiag = std::max(maxDiag, std::fabs(a(i, i)));
+  const double jitter = 1e-10 * (maxDiag > 0.0 ? maxDiag : 1.0);
+  for (int j = 0; j < n; ++j) {
+    double diag = a(j, j) + jitter;
+    for (int k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
+    const double ljj = std::sqrt(diag);
+    l(j, j) = ljj;
+    const double inv = 1.0 / ljj;
+    for (int i = j + 1; i < n; ++i) {
+      double acc = a(i, j);
+      for (int k = 0; k < j; ++k) acc -= l(i, k) * l(j, k);
+      l(i, j) = acc * inv;
+    }
+  }
+  return l;
+}
+
+/// The field covariance of a rows x cols chip, factored both ways.
+StartupKernel benchSamplerFactor(int rows, int cols, double minRepNs,
+                                 bool once) {
+  PopulationConfig pc;
+  pc.coreGrid = GridShape(rows, cols);
+  const SpatialFieldSampler sampler(populationFieldConfig(pc));
+  const int n = sampler.config().grid.count();
+  Matrix a(n, n);
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j) a(i, j) = sampler.covariance(i, j);
+
+  StartupKernel b;
+  b.kernel = "sampler_factor";
+  b.config = gridLabel(rows, cols);
+  b.size = n;
+  const auto tiled = [&] { const CholeskyFactorization chol(a); };
+  const auto reference = [&] { (void)columnOrderCholesky(a); };
+  b.fastNs = once ? timeOnceNs(tiled) : timeNs(tiled, minRepNs);
+  b.referenceNs = once ? timeOnceNs(reference) : timeNs(reference, minRepNs);
+
+  const CholeskyFactorization chol(a);
+  const Matrix l = columnOrderCholesky(a);
+  bool equal = true;
+  for (int i = 0; i < n && equal; ++i)
+    for (int j = 0; j <= i && equal; ++j) {
+      const double x = chol.entry(i, j);
+      const double y = l(i, j);
+      equal = std::memcmp(&x, &y, sizeof x) == 0;
+    }
+  Rng rng(11);
+  const Vector z = rng.gaussianVector(n);
+  const Vector lz = chol.applyL(z);
+  for (int i = 0; i < n && equal; ++i) {
+    double acc = 0.0;
+    for (int j = 0; j <= i; ++j)
+      acc += l(i, j) * z[static_cast<std::size_t>(j)];
+    const double x = lz[static_cast<std::size_t>(i)];
+    equal = std::memcmp(&acc, &x, sizeof acc) == 0;
+  }
+  b.bitwiseEqual = equal;
+  return b;
+}
+
+/// One default-recipe chip's aging table: the hoisted fill behind
+/// AgingTable against a per-cell CorePathSet::delayFactor fill.
+StartupKernel benchAgingTableFill(double minRepNs) {
+  const ChipConfig chip;
+  Rng rng(2015);
+  const CorePathSet paths =
+      CorePathSet::synthesize(rng, chip.pathsPerCore, chip.elementsPerPath);
+  const NbtiModel nbti(chip.nbti);
+  const AgingTable table(nbti, paths, chip.agingTable);
+  Table3 cells(table.raw().axis0(), table.raw().axis1(), table.raw().axis2());
+  const auto perCell = [&] {
+    cells.fill([&](double t, double d, double y) {
+      return paths.delayFactor(nbti, t, d, y);
+    });
+  };
+
+  StartupKernel b;
+  b.kernel = "aging_table_fill";
+  b.config = std::to_string(cells.axis0().size()) + "x" +
+             std::to_string(cells.axis1().size()) + "x" +
+             std::to_string(cells.axis2().size());
+  b.size = cells.axis0().size() * cells.axis1().size() * cells.axis2().size();
+  b.fastNs = timeNs([&] { const AgingTable t(nbti, paths, chip.agingTable); },
+                    minRepNs);
+  b.referenceNs = timeNs(perCell, minRepNs);
+  bool equal = true;
+  for (int i = 0; i < cells.axis0().size(); ++i)
+    for (int j = 0; j < cells.axis1().size(); ++j)
+      for (int k = 0; k < cells.axis2().size(); ++k) {
+        const double x = table.raw().at(i, j, k);
+        const double y = cells.at(i, j, k);
+        equal = equal && std::memcmp(&x, &y, sizeof x) == 0;
+      }
+  b.bitwiseEqual = equal;
+  return b;
+}
+
 /// Phase split of the batched-default lifetime run (lifetimePhaseNanos),
 /// plus the baseline-maintenance share of the policy bucket
 /// (predictorBaselineNanos: makeBaseline / refreshBaseline /
@@ -515,11 +655,12 @@ void writeJson(const std::string& path, const std::string& mode,
                const std::vector<Breakdown>& breakdowns,
                const std::vector<ThermalBreakdown>& thermalBreakdowns,
                const std::vector<PredictorSweep>& predictorSweeps,
+               const std::vector<StartupKernel>& startupKernels,
                const std::vector<FailureBreakdown>& failureBreakdowns) {
   std::ofstream out(path);
   out << "{\n"
       << "  \"benchmark\": \"bench_kernels\",\n"
-      << "  \"version\": 8,\n"
+      << "  \"version\": 9,\n"
       << "  \"mode\": \"" << mode << "\",\n"
       << "  \"units\": \"nanoseconds\",\n"
       << "  \"results\": [\n";
@@ -584,6 +725,21 @@ void writeJson(const std::string& path, const std::string& mode,
                   p.config.c_str(), p.cores, p.tiledNs, p.rowOrderNs,
                   p.speedup(), p.bitwiseEqual ? "true" : "false",
                   i + 1 < predictorSweeps.size() ? "," : "");
+    out << buf;
+  }
+  out << "  ],\n"
+      << "  \"startup\": [\n";
+  for (std::size_t i = 0; i < startupKernels.size(); ++i) {
+    const StartupKernel& k = startupKernels[i];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"kernel\": \"%s\", \"config\": \"%s\", "
+                  "\"size\": %d, \"fast_ns\": %.0f, "
+                  "\"reference_ns\": %.0f, \"speedup\": %.2f, "
+                  "\"bitwise_equal\": %s}%s\n",
+                  k.kernel.c_str(), k.config.c_str(), k.size, k.fastNs,
+                  k.referenceNs, k.speedup(),
+                  k.bitwiseEqual ? "true" : "false",
+                  i + 1 < startupKernels.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n"
@@ -673,6 +829,15 @@ int main(int argc, char** argv) {
   for (const auto& [rows, cols] :
        std::vector<std::pair<int, int>>{{8, 8}, {16, 16}})
     predictorSweeps.push_back(benchPredictorSweep(rows, cols, minRepNs));
+  // Start-up kernels: the sampler factor at 8x8 and 16x16 chips (CI
+  // gates the 16x16 row), plus 32x32 — seconds per factor, one run
+  // each — in full mode; and one aging-table fill.
+  std::vector<StartupKernel> startupKernels;
+  for (const int edge : {8, 16})
+    startupKernels.push_back(benchSamplerFactor(edge, edge, minRepNs, false));
+  if (!small)
+    startupKernels.push_back(benchSamplerFactor(32, 32, minRepNs, true));
+  startupKernels.push_back(benchAgingTableFill(minRepNs));
   // Failure Monte Carlo cost: always the 4x4 task at 256 samples (what
   // the CI perf-smoke gate budgets); full mode adds the 8x8 point.
   // minRepNs applies even in small mode: the CI gate budgets the
@@ -710,6 +875,13 @@ int main(int argc, char** argv) {
     std::printf("%-20s %-10s %8d %12.0f %14.0f %8.2fx %8s\n", "",
                 p.config.c_str(), p.cores, p.tiledNs, p.rowOrderNs,
                 p.speedup(), p.bitwiseEqual ? "yes" : "NO");
+  std::printf("\n%-20s %-18s %-10s %8s %14s %14s %9s %8s\n", "startup",
+              "kernel", "config", "size", "fast [ns]", "reference [ns]",
+              "speedup", "bitwise");
+  for (const StartupKernel& k : startupKernels)
+    std::printf("%-20s %-18s %-10s %8d %14.0f %14.0f %8.2fx %8s\n", "",
+                k.kernel.c_str(), k.config.c_str(), k.size, k.fastNs,
+                k.referenceNs, k.speedup(), k.bitwiseEqual ? "yes" : "NO");
   std::printf("\n%-20s %-10s %8s %12s %14s %9s %8s %8s\n",
               "failure-breakdown", "config", "samples", "point [ns]",
               "dist [ns]", "overhead", "em", "tddb");
@@ -718,7 +890,8 @@ int main(int argc, char** argv) {
                 f.config.c_str(), f.samples, f.pointNs, f.distributionNs,
                 f.overhead(), f.emKills, f.tddbKills);
   writeJson(outPath, small ? "small" : "full", entries, breakdowns,
-            thermalBreakdowns, predictorSweeps, failureBreakdowns);
+            thermalBreakdowns, predictorSweeps, startupKernels,
+            failureBreakdowns);
   std::printf("wrote %s\n", outPath.c_str());
   return 0;
 }

@@ -101,9 +101,14 @@ AgingTable::AgingTable(const NbtiModel& nbti, const CorePathSet& paths,
   HAYAT_REQUIRE(config.temperatureMax > config.temperatureMin,
                 "empty temperature range");
   HAYAT_REQUIRE(config.maxAge > 0.0, "maxAge must be positive");
-  table_.fill([&](double t, double d, double y) {
-    return paths.delayFactor(nbti, t, d, y);
-  });
+  const std::vector<double> values = paths.delayFactorGrid(
+      nbti, table_.axis0().points(), table_.axis1().points(),
+      table_.axis2().points());
+  auto value = values.begin();
+  for (int i = 0; i < table_.axis0().size(); ++i)
+    for (int j = 0; j < table_.axis1().size(); ++j)
+      for (int k = 0; k < table_.axis2().size(); ++k)
+        table_.at(i, j, k) = *value++;
   grid_ = TrilinearGrid(table_);
 }
 

@@ -58,7 +58,9 @@ class AgingTable {
   using Cursor = TrilinearGrid::Cursor;
 
   /// Populates the table from the gate-level model.  This is the
-  /// "start-up time effort": ~13 x 11 x 14 full path-set evaluations.
+  /// "start-up time effort": 13 x 11 x 14 cells, each bitwise the
+  /// path set's delayFactor, filled by CorePathSet::delayFactorGrid with
+  /// one alpha-power pow per (cell, path element).
   AgingTable(const NbtiModel& nbti, const CorePathSet& paths,
              const AgingTableConfig& config = {});
 

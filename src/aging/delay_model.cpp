@@ -121,4 +121,62 @@ double CorePathSet::delayFactor(const NbtiModel& nbti, Kelvin temperature,
   return worst / nominalDelay_;
 }
 
+std::vector<double> CorePathSet::delayFactorGrid(
+    const NbtiModel& nbti, const std::vector<double>& temperatures,
+    const std::vector<double>& duties, const std::vector<double>& ages) const {
+  const double exponent = nbti.config().timeExponent;
+  std::vector<double> temperatureFactor(temperatures.size());
+  for (std::size_t i = 0; i < temperatures.size(); ++i)
+    temperatureFactor[i] = nbti.temperatureFactor(temperatures[i]);
+  std::vector<double> agePower(ages.size());
+  for (std::size_t k = 0; k < ages.size(); ++k) {
+    HAYAT_REQUIRE(ages[k] >= 0.0, "age must be non-negative");
+    agePower[k] = std::pow(ages[k], exponent);
+  }
+  // Every element's (weight * duty)^(1/6), per duty point, in path order.
+  std::size_t elements = 0;
+  for (const CriticalPath& p : paths_) elements += p.elements().size();
+  std::vector<double> dutyPower(duties.size() * elements);
+  for (std::size_t j = 0; j < duties.size(); ++j) {
+    HAYAT_REQUIRE(duties[j] >= 0.0 && duties[j] <= 1.0,
+                  "core duty must be in [0, 1]");
+    double* power = dutyPower.data() + j * elements;
+    for (const CriticalPath& p : paths_)
+      for (const LogicElement& le : p.elements()) {
+        const double elementDuty = std::min(1.0, le.dutyWeight * duties[j]);
+        HAYAT_REQUIRE(elementDuty >= 0.0 && elementDuty <= 1.0,
+                      "duty cycle must be in [0, 1]");
+        *power++ = std::pow(elementDuty, exponent);
+      }
+  }
+
+  // Per (T, d) cell line: every path's element sum and the running max
+  // advance along the age axis together; each entry still adds its
+  // elements in path order and takes the max over paths in order.
+  const std::size_t lineLength = ages.size();
+  std::vector<double> out(temperatures.size() * duties.size() * lineLength);
+  std::vector<double> total(lineLength);
+  double* line = out.data();
+  for (std::size_t i = 0; i < temperatures.size(); ++i) {
+    for (std::size_t j = 0; j < duties.size(); ++j, line += lineLength) {
+      const double* power = dutyPower.data() + j * elements;
+      std::fill(line, line + lineLength, 0.0);  // the running worst path
+      for (const CriticalPath& p : paths_) {
+        std::fill(total.begin(), total.end(), 0.0);
+        for (const LogicElement& le : p.elements()) {
+          // NbtiModel::stressPrefactor, then deltaVth, bitwise.
+          const double prefactor = temperatureFactor[i] * *power++;
+          for (std::size_t k = 0; k < lineLength; ++k)
+            total[k] += le.nominalDelay * nbti.delayFactorFromDeltaVth(
+                                              prefactor * agePower[k]);
+        }
+        for (std::size_t k = 0; k < lineLength; ++k)
+          line[k] = std::max(line[k], total[k]);
+      }
+      for (std::size_t k = 0; k < lineLength; ++k) line[k] /= nominalDelay_;
+    }
+  }
+  return out;
+}
+
 }  // namespace hayat

@@ -87,6 +87,18 @@ class CorePathSet {
   double delayFactor(const NbtiModel& nbti, Kelvin temperature,
                      double coreDuty, Years age) const;
 
+  /// delayFactor at every point of a temperature x duty x age grid,
+  /// row-major with age innermost: entry (i, j, k) is bitwise
+  /// delayFactor(nbti, temperatures[i], duties[j], ages[k]).  Each Eq. (7)
+  /// factor that depends on one axis alone is evaluated once per axis
+  /// point (exp(-1500/T) and Vdd^4 per temperature, each element's
+  /// d^(1/6) per duty, y^(1/6) per age), leaving one alpha-power pow per
+  /// (cell, element); the products and sums run in delayFactor's order.
+  std::vector<double> delayFactorGrid(const NbtiModel& nbti,
+                                      const std::vector<double>& temperatures,
+                                      const std::vector<double>& duties,
+                                      const std::vector<double>& ages) const;
+
  private:
   std::vector<CriticalPath> paths_;
   Seconds nominalDelay_ = 0.0;

@@ -17,11 +17,15 @@ NbtiModel::NbtiModel(NbtiConfig config) : config_(config) {
 }
 
 double NbtiModel::stressPrefactor(Kelvin temperature, double duty) const {
-  HAYAT_REQUIRE(temperature > 0.0, "temperature must be positive kelvin");
+  const double factor = temperatureFactor(temperature);
   HAYAT_REQUIRE(duty >= 0.0 && duty <= 1.0, "duty cycle must be in [0, 1]");
+  return factor * std::pow(duty, config_.timeExponent);
+}
+
+double NbtiModel::temperatureFactor(Kelvin temperature) const {
+  HAYAT_REQUIRE(temperature > 0.0, "temperature must be positive kelvin");
   const double vdd4 = std::pow(config_.vdd, 4.0);
-  return config_.techScale * 0.05 * std::exp(-1500.0 / temperature) * vdd4 *
-         std::pow(duty, config_.timeExponent);
+  return config_.techScale * 0.05 * std::exp(-1500.0 / temperature) * vdd4;
 }
 
 Volts NbtiModel::deltaVth(Kelvin temperature, double duty, Years age) const {

@@ -48,6 +48,11 @@ class NbtiModel {
   /// The (T, d)-dependent prefactor K with dVth = K * y^(1/6).
   double stressPrefactor(Kelvin temperature, double duty) const;
 
+  /// The temperature part of K: techScale * 0.05 * exp(-1500 / T) *
+  /// Vdd^4, so K = temperatureFactor(T) * d^(1/6) bitwise.  The aging
+  /// table's fill evaluates it once per temperature point.
+  double temperatureFactor(Kelvin temperature) const;
+
   /// Relative delay D(dVth)/D(0) >= 1 via the alpha-power law.
   double delayFactorFromDeltaVth(Volts dVth) const;
 

@@ -32,7 +32,8 @@ CorePathSet synthesizePaths(const ChipConfig& config, std::uint64_t seed) {
 constexpr std::size_t kAgingTableMemoCap = 16;
 SharedMemo<AgingTable>& agingTableMemo = *new SharedMemo<AgingTable>(
     kAgingTableMemoCap, "hayat_aging_table_shared_hits_total",
-    "hayat_aging_table_shared_misses_total");
+    "hayat_aging_table_shared_misses_total",
+    "hayat_aging_table_build_seconds");
 
 /// Exact (%a — no rounding) rendering of a double for the cache key.
 void appendExact(std::string& key, double v) {

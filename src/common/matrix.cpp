@@ -1,5 +1,6 @@
 #include "common/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -108,57 +109,142 @@ Vector LuFactorization::solve(const Vector& b) const {
   return x;
 }
 
-CholeskyFactorization::CholeskyFactorization(const Matrix& a)
-    : n_(a.rows()), l_(a.rows(), a.cols()) {
+namespace {
+
+int squareSize(const Matrix& a) {
   HAYAT_REQUIRE(a.rows() == a.cols(), "Cholesky requires a square matrix");
+  return a.rows();
+}
+
+}  // namespace
+
+CholeskyFactorization::CholeskyFactorization(const Matrix& a)
+    : CholeskyFactorization(squareSize(a),
+                            [&a](int i, int j) { return a(i, j); }) {}
+
+void CholeskyFactorization::allocate() {
+  HAYAT_REQUIRE(n_ >= 0, "negative matrix dimensions");
+  const int panels = (n_ + kPanelRows - 1) / kPanelRows;
+  panels_.assign(index(panels * kPanelRows, 0), 0.0);
+}
+
+void CholeskyFactorization::factor() {
+  constexpr int R = kPanelRows;
   // Small diagonal jitter makes near-singular covariance matrices (long
   // correlation ranges) factor robustly without visibly changing samples.
   double maxDiag = 0.0;
-  for (int i = 0; i < n_; ++i) maxDiag = std::max(maxDiag, std::fabs(a(i, i)));
+  for (int i = 0; i < n_; ++i)
+    maxDiag = std::max(maxDiag, std::fabs(panels_[index(i, i)]));
   const double jitter = 1e-10 * (maxDiag > 0.0 ? maxDiag : 1.0);
 
-  for (int j = 0; j < n_; ++j) {
-    double diag = a(j, j) + jitter;
-    for (int k = 0; k < j; ++k) diag -= l_(j, k) * l_(j, k);
+  // Columns j and j + 1 at a time.  Entries (i, k) with k < j hold L and
+  // the rest still hold A.  Row i's entries sit R apart in its panel.
+  double* const l = panels_.data();
+  for (int j = 0; j < n_; j += 2) {
+    const double* rowJ = l + index(j, 0);
+    double diag = l[index(j, j)] + jitter;
+    for (int k = 0; k < j; ++k) diag -= rowJ[k * R] * rowJ[k * R];
     HAYAT_REQUIRE(diag > 0.0, "matrix not positive definite in Cholesky");
     const double ljj = std::sqrt(diag);
-    l_(j, j) = ljj;
-    const double inv = 1.0 / ljj;
-    for (int i = j + 1; i < n_; ++i) {
-      double acc = a(i, j);
-      for (int k = 0; k < j; ++k) acc -= l_(i, k) * l_(j, k);
-      l_(i, j) = acc * inv;
+    l[index(j, j)] = ljj;
+    const double inv0 = 1.0 / ljj;
+    if (j + 1 == n_) break;
+
+    // Row j + 1: L(j+1, j), then the second diagonal entry, whose chain
+    // ends with the k = j product.
+    const double* rowJ1 = l + index(j + 1, 0);
+    double acc = l[index(j + 1, j)];
+    for (int k = 0; k < j; ++k) acc -= rowJ1[k * R] * rowJ[k * R];
+    const double l10 = acc * inv0;
+    l[index(j + 1, j)] = l10;
+    diag = l[index(j + 1, j + 1)] + jitter;
+    for (int k = 0; k <= j; ++k) diag -= rowJ1[k * R] * rowJ1[k * R];
+    HAYAT_REQUIRE(diag > 0.0, "matrix not positive definite in Cholesky");
+    const double l11 = std::sqrt(diag);
+    l[index(j + 1, j + 1)] = l11;
+    const double inv1 = 1.0 / l11;
+
+    // The rest of the diagonal panel, one row at a time.
+    const int panelEnd = std::min(n_, (j / R + 1) * R);
+    for (int i = j + 2; i < panelEnd; ++i) {
+      double* rowI = l + index(i, 0);
+      double a0 = rowI[j * R];
+      double a1 = rowI[(j + 1) * R];
+      for (int k = 0; k < j; ++k) {
+        a0 -= rowI[k * R] * rowJ[k * R];
+        a1 -= rowI[k * R] * rowJ1[k * R];
+      }
+      const double li0 = a0 * inv0;
+      a1 -= li0 * l10;
+      rowI[j * R] = li0;
+      rowI[(j + 1) * R] = a1 * inv1;
+    }
+
+    // Every panel below in 8 x 2 register tiles: per k, one contiguous
+    // 8-row slice against L(j, k) and L(j+1, k) — 16 independent chains.
+    // The last panel's rows past n are zero and stay zero.
+    for (int i0 = panelEnd; i0 < n_; i0 += R) {
+      double* panel = l + index(i0, 0);
+      double* colJ = panel + j * R;
+      double* colJ1 = colJ + R;
+      double a0 = colJ[0], a1 = colJ[1], a2 = colJ[2], a3 = colJ[3];
+      double a4 = colJ[4], a5 = colJ[5], a6 = colJ[6], a7 = colJ[7];
+      double b0 = colJ1[0], b1 = colJ1[1], b2 = colJ1[2], b3 = colJ1[3];
+      double b4 = colJ1[4], b5 = colJ1[5], b6 = colJ1[6], b7 = colJ1[7];
+      const double* x = panel;
+      for (int k = 0; k < j; ++k, x += R) {
+        const double u = rowJ[k * R];
+        const double v = rowJ1[k * R];
+        a0 -= x[0] * u;
+        a1 -= x[1] * u;
+        a2 -= x[2] * u;
+        a3 -= x[3] * u;
+        a4 -= x[4] * u;
+        a5 -= x[5] * u;
+        a6 -= x[6] * u;
+        a7 -= x[7] * u;
+        b0 -= x[0] * v;
+        b1 -= x[1] * v;
+        b2 -= x[2] * v;
+        b3 -= x[3] * v;
+        b4 -= x[4] * v;
+        b5 -= x[5] * v;
+        b6 -= x[6] * v;
+        b7 -= x[7] * v;
+      }
+      const double accJ[R] = {a0, a1, a2, a3, a4, a5, a6, a7};
+      const double accJ1[R] = {b0, b1, b2, b3, b4, b5, b6, b7};
+      for (int q = 0; q < R; ++q) {
+        const double li0 = accJ[q] * inv0;
+        colJ[q] = li0;
+        colJ1[q] = (accJ1[q] - li0 * l10) * inv1;
+      }
     }
   }
 }
 
 Vector CholeskyFactorization::applyL(const Vector& z) const {
   HAYAT_REQUIRE(static_cast<int>(z.size()) == n_, "vector size mismatch");
+  constexpr int R = kPanelRows;
   Vector out(static_cast<std::size_t>(n_), 0.0);
-  for (int i = 0; i < n_; ++i) {
-    double acc = 0.0;
-    for (int j = 0; j <= i; ++j) acc += l_(i, j) * z[static_cast<std::size_t>(j)];
-    out[static_cast<std::size_t>(i)] = acc;
+  for (int i0 = 0; i0 < n_; i0 += R) {
+    const double* panel = panels_.data() + index(i0, 0);
+    // Columns left of the panel: eight rows' chains in one pass.
+    double acc[R];
+    for (int q = 0; q < R; ++q) acc[q] = 0.0;
+    for (int k = 0; k < i0; ++k) {
+      const double zk = z[static_cast<std::size_t>(k)];
+      for (int q = 0; q < R; ++q) acc[q] += panel[k * R + q] * zk;
+    }
+    // Each row's chain continues to its diagonal.
+    for (int q = 0; q < R && i0 + q < n_; ++q) {
+      double a = acc[q];
+      for (int k = i0; k <= i0 + q; ++k)
+        a += panel[k * R + q] * z[static_cast<std::size_t>(k)];
+      out[static_cast<std::size_t>(i0 + q)] = a;
+    }
   }
   return out;
-}
-
-Vector CholeskyFactorization::solve(const Vector& b) const {
-  HAYAT_REQUIRE(static_cast<int>(b.size()) == n_, "rhs size mismatch");
-  Vector y(static_cast<std::size_t>(n_));
-  for (int i = 0; i < n_; ++i) {
-    double acc = b[static_cast<std::size_t>(i)];
-    for (int j = 0; j < i; ++j) acc -= l_(i, j) * y[static_cast<std::size_t>(j)];
-    y[static_cast<std::size_t>(i)] = acc / l_(i, i);
-  }
-  Vector x(static_cast<std::size_t>(n_));
-  for (int i = n_ - 1; i >= 0; --i) {
-    double acc = y[static_cast<std::size_t>(i)];
-    for (int j = i + 1; j < n_; ++j)
-      acc -= l_(j, i) * x[static_cast<std::size_t>(j)];
-    x[static_cast<std::size_t>(i)] = acc / l_(i, i);
-  }
-  return x;
 }
 
 double norm2(const Vector& v) {

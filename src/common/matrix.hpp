@@ -1,11 +1,13 @@
 // Small dense linear algebra used by the thermal solver and the
 // spatially-correlated variation generator.
 //
-// The problem sizes here are modest (a few hundred nodes for the RC
-// thermal network, a few hundred grid points for the variation field), so
-// a straightforward dense row-major implementation with partial-pivoting
-// LU and Cholesky is both simple and fast enough: one 260x260 LU factors
-// in well under a millisecond.
+// Matrix and LuFactorization are plain dense row-major code: the sparse
+// thermal backends (common/sparse.hpp) factor the large RC networks, and
+// the dense LU remains their reference twin.  The variation field's
+// Cholesky factor is the one cubic start-up cost per chip recipe — 256
+// grid points on the paper's 8x8 chip, 1 024 on a 16x16 and 4 096 on a
+// 32x32 — so CholeskyFactorization factors in place, in packed row
+// panels, with register tiles.
 #pragma once
 
 #include <cstddef>
@@ -84,25 +86,60 @@ class LuFactorization {
 /// Cholesky factorization A = L L^T of a symmetric positive-definite
 /// matrix.  Used to sample correlated Gaussian fields: x = L z with
 /// z ~ N(0, I) has covariance A.
+///
+/// L lives in row panels of eight rows, each stored k-major: entry (i, k)
+/// of panel b = i / 8 sits at k * 8 + i % 8 past the panel's start, for
+/// k < 8 (b + 1) — about half of an n x n matrix.  A's lower triangle is
+/// written straight into that storage and factored in place, so no
+/// second n x n buffer ever exists.  Every entry is bitwise the
+/// column-order factor's: it starts from A(i, j) (plus the jitter on the
+/// diagonal), subtracts L(i, k) L(j, k) in ascending k, and is scaled by
+/// the same 1 / L(j, j); the tiles only advance 16 such chains at once
+/// (DESIGN.md §3.10, "Start-up kernels").
 class CholeskyFactorization {
  public:
-  /// Factors a symmetric positive-definite matrix.  Throws hayat::Error
-  /// if the matrix is not positive definite (within a small tolerance
-  /// jitter added to the diagonal for near-singular covariance matrices).
+  /// Factors a symmetric positive-definite matrix (its lower triangle is
+  /// read).  Throws hayat::Error if the matrix is not positive definite
+  /// (within a small tolerance jitter added to the diagonal for
+  /// near-singular covariance matrices).
   explicit CholeskyFactorization(const Matrix& a);
 
-  /// Returns L z (lower-triangular times vector).
+  /// Factors the n x n matrix whose entry (i, j), j <= i, is
+  /// lowerEntry(i, j), evaluated once per entry straight into the
+  /// factor's storage.
+  template <class LowerEntry>
+  CholeskyFactorization(int n, LowerEntry&& lowerEntry) : n_(n) {
+    allocate();
+    for (int i = 0; i < n_; ++i)
+      for (int j = 0; j <= i; ++j) panels_[index(i, j)] = lowerEntry(i, j);
+    factor();
+  }
+
+  /// Returns L z (lower-triangular times vector), each row summed in
+  /// ascending column order from 0.
   Vector applyL(const Vector& z) const;
 
-  /// Solves A x = b via forward/back substitution.
-  Vector solve(const Vector& b) const;
+  /// L(i, j) for 0 <= j <= i < size().
+  double entry(int i, int j) const { return panels_[index(i, j)]; }
 
   int size() const { return n_; }
-  const Matrix& lower() const { return l_; }
 
  private:
+  static constexpr int kPanelRows = 8;
+
+  /// Offset of L(i, k)'s slot: panel i / 8 starts after the panels
+  /// above it, which hold 64, 128, ... entries.
+  static std::size_t index(int i, int k) {
+    const auto b = static_cast<std::size_t>(i / kPanelRows);
+    return 32 * b * (b + 1) + static_cast<std::size_t>(k) * kPanelRows +
+           static_cast<std::size_t>(i % kPanelRows);
+  }
+
+  void allocate();
+  void factor();
+
   int n_ = 0;
-  Matrix l_;
+  std::vector<double> panels_;
 };
 
 /// Euclidean norm of a vector.

@@ -12,15 +12,18 @@
 // Values are built outside the mutex, so tasks that start together
 // build the values of different keys (every chip has its own aging
 // table) at the same time; lookups of a key that is being built wait
-// for that build alone.
+// for that build alone.  While telemetry is enabled, each build's wall
+// time lands in the memo's `*_build_seconds` histogram — where a task's
+// start-up time goes.
 //
 // Each memo is a namespace-scope object constructed during static
 // initialisation and never destroyed (`*new SharedMemo<V>(...)`): no
 // first-use initialiser can be in flight when a worker is forked, and
 // the constructor adds the memo's mutex to those held across fork()
-// (telemetry::holdAcrossFork).  A build that another thread had in
-// flight at fork() never finishes in the child, so the child builds
-// that key again.
+// (telemetry::holdAcrossFork).  The build histogram is registered there
+// too, never through a function-local static.  A build that another
+// thread had in flight at fork() never finishes in the child, so the
+// child builds that key again.
 #pragma once
 
 #include <unistd.h>
@@ -46,11 +49,16 @@ template <class V>
 class SharedMemo {
  public:
   /// Keeps the `cap` most recently used values.  While telemetry is
-  /// enabled, lookups count under the counters `hitsName`/`missesName`.
-  SharedMemo(std::size_t cap, std::string hitsName, std::string missesName)
+  /// enabled, lookups count under the counters `hitsName`/`missesName`
+  /// and each build's seconds go to the histogram `buildSecondsName`.
+  SharedMemo(std::size_t cap, std::string hitsName, std::string missesName,
+             const std::string& buildSecondsName)
       : cap_(cap),
         hitsName_(std::move(hitsName)),
-        missesName_(std::move(missesName)) {
+        missesName_(std::move(missesName)),
+        buildSeconds_(telemetry::Registry::global().histogram(
+            buildSecondsName, {1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0,
+                               3.0, 10.0, 30.0})) {
     telemetry::holdAcrossFork(mutex_);
   }
 
@@ -86,7 +94,14 @@ class SharedMemo {
     }
     if (buildId != 0) {
       try {
-        promise.set_value(build());
+        const bool timed = telemetry::enabled();
+        const auto t0 = std::chrono::steady_clock::now();
+        Ptr built = build();
+        if (timed)
+          buildSeconds_.observe(std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count());
+        promise.set_value(std::move(built));
       } catch (...) {
         promise.set_exception(std::current_exception());
         forget(buildId);
@@ -141,6 +156,7 @@ class SharedMemo {
   const std::size_t cap_;
   const std::string hitsName_;
   const std::string missesName_;
+  telemetry::Histogram& buildSeconds_;
   std::mutex mutex_;
   telemetry::Counter* hits_ = nullptr;    ///< guarded by mutex_
   telemetry::Counter* misses_ = nullptr;  ///< guarded by mutex_

@@ -255,6 +255,9 @@ LifetimeRun::LifetimeRun(const LifetimeConfig& config, System& system,
   }
   const int n = chip_.coreCount();
   result_.horizon = config_.horizon;
+  // Sized once: callers keep results (a sweep table holds every run's),
+  // so growth slack would stay allocated with them.
+  result_.epochs.reserve(static_cast<std::size_t>(epochCount_));
   result_.coreDamage.assign(static_cast<std::size_t>(n), 0.0);
   result_.initialFmax.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)

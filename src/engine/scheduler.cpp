@@ -199,6 +199,7 @@ std::shared_ptr<SpecRun> SweepScheduler::attach(const ExperimentSpec& spec,
         }
         run->done_ = run->taskCount();
         run->stored_ = true;  // it came from the cache; no need to restore
+        run->onDisk_ = true;
         cached = true;
       }
     }
@@ -233,9 +234,11 @@ void SweepScheduler::detach(const std::string& jobId,
   if (!run) return;
   std::lock_guard<std::mutex> lock(mutex_);
   run->jobs_.erase(jobId);
-  if (!run->jobs_.empty() ||
-      run->done_ == static_cast<int>(run->cells_.size()))
+  if (!run->jobs_.empty()) return;
+  if (run->done_ == static_cast<int>(run->cells_.size())) {
+    releaseLocked(run);
     return;
+  }
   // Last job gone mid-run: park the pending tasks.  In-flight tasks are
   // allowed to finish (their results stay shareable); nothing new is
   // dispatched.
@@ -329,8 +332,23 @@ void SweepScheduler::completeWork(const Work& work, bool ok,
   if (storeNow) {
     // File I/O outside the lock; the cache is shared with one-shot CLI
     // sweeps and future daemon incarnations.
-    if (storeCachedTable(cacheDir_, spec, table))
+    if (storeCachedTable(cacheDir_, spec, table)) {
       count("hayat_serve_table_cache_stores_total");
+      std::lock_guard<std::mutex> lock(mutex_);
+      work.run->onDisk_ = true;
+      if (work.run->jobs_.empty()) releaseLocked(work.run);
+    }
+  }
+}
+
+void SweepScheduler::releaseLocked(const std::shared_ptr<SpecRun>& run) {
+  if (!run->onDisk_ || !run->jobs_.empty() || run->failed_ ||
+      run->done_ != static_cast<int>(run->cells_.size()))
+    return;
+  const auto it = runs_.find(run->hash_);
+  if (it != runs_.end() && it->second == run) {
+    runs_.erase(it);
+    count("hayat_serve_runs_released_total");
   }
 }
 

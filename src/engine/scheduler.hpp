@@ -10,7 +10,10 @@
 //     (in flight or finished), never recomputed.  Completed SpecRuns are
 //     stored in the engine's on-disk result cache, and a new SpecRun
 //     first tries to load from it — so serve jobs, one-shot CLI sweeps,
-//     and restarts after a crash all share one cache.
+//     and restarts after a crash all share one cache.  A completed run
+//     whose table is on disk leaves memory when its last job detaches;
+//     a later job for that spec loads it back from the cache, so a
+//     long-lived daemon does not grow with every spec it has served.
 //   - Fair interleaving.  Lanes pick tasks from the highest-priority
 //     SpecRun level with work pending and round-robin across the runs
 //     inside it, so a 10,000-task job cannot starve a 4-task job at the
@@ -111,7 +114,8 @@ class SpecRun {
   int done_ = 0;
   bool failed_ = false;
   bool abandoned_ = false;      ///< every job detached before completion
-  bool stored_ = false;         ///< written to the on-disk result cache
+  bool stored_ = false;         ///< claimed for the on-disk result cache
+  bool onDisk_ = false;         ///< loaded from or written to that cache
   std::string error_;
 };
 
@@ -172,6 +176,9 @@ class SweepScheduler {
                  const std::string& payload, RunResult& storage);
   bool ensureLane(Lane& lane, int slot);
   void killLane(Lane& lane);
+  /// Drops a completed run with no job attached whose table is on disk
+  /// from runs_ (callers holding it keep it alive).  mutex_ held.
+  void releaseLocked(const std::shared_ptr<SpecRun>& run);
 
   SchedulerConfig config_;
   bool cacheEnabled_ = true;

@@ -33,7 +33,8 @@ constexpr std::size_t kTransientMemoCap = 32;
 SharedMemo<ThermalModel::TransientOperator>& transientMemo =
     *new SharedMemo<ThermalModel::TransientOperator>(
         kTransientMemoCap, "hayat_thermal_lu_shared_hits_total",
-        "hayat_thermal_lu_shared_misses_total");
+        "hayat_thermal_lu_shared_misses_total",
+        "hayat_thermal_lu_build_seconds");
 
 /// (geometry, backend) -> steady kernel, shared across models the same
 /// way: one factorization and one influence kernel per package instead
@@ -42,7 +43,8 @@ constexpr std::size_t kSteadyMemoCap = 16;
 SharedMemo<ThermalModel::SteadyKernel>& steadyMemo =
     *new SharedMemo<ThermalModel::SteadyKernel>(
         kSteadyMemoCap, "hayat_thermal_influence_shared_hits_total",
-        "hayat_thermal_influence_shared_misses_total");
+        "hayat_thermal_influence_shared_misses_total",
+        "hayat_thermal_influence_build_seconds");
 
 /// K(i, j) = response of die node i to a watt at core j: one steady
 /// solve per core column.

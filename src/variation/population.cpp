@@ -15,23 +15,6 @@ namespace hayat {
 
 namespace {
 
-SpatialFieldConfig fieldConfigFrom(const PopulationConfig& config) {
-  SpatialFieldConfig fc;
-  fc.grid = GridShape(config.coreGrid.rows() * config.pointsPerCoreEdge,
-                      config.coreGrid.cols() * config.pointsPerCoreEdge);
-  fc.pointSpacingX = config.coreWidth / config.pointsPerCoreEdge;
-  fc.pointSpacingY = config.coreHeight / config.pointsPerCoreEdge;
-  fc.mean = 1.0;
-  fc.sigma = config.sigmaFraction;
-  const Meters chipEdge =
-      std::max(config.coreWidth * config.coreGrid.cols(),
-               config.coreHeight * config.coreGrid.rows());
-  fc.correlationRange = config.correlationRangeFraction * chipEdge;
-  fc.globalFraction = config.globalFraction;
-  fc.nuggetFraction = config.nuggetFraction;
-  return fc;
-}
-
 VariationMapConfig mapConfigFrom(const PopulationConfig& config) {
   VariationMapConfig mc;
   mc.coreGrid = config.coreGrid;
@@ -68,7 +51,8 @@ constexpr std::size_t kSamplerMemoCap = 8;
 SharedMemo<SpatialFieldSampler>& samplerMemo =
     *new SharedMemo<SpatialFieldSampler>(
         kSamplerMemoCap, "hayat_variation_sampler_shared_hits_total",
-        "hayat_variation_sampler_shared_misses_total");
+        "hayat_variation_sampler_shared_misses_total",
+        "hayat_variation_sampler_build_seconds");
 
 std::string fieldKey(const SpatialFieldConfig& fc) {
   char buf[200];
@@ -85,7 +69,7 @@ std::string fieldKey(const SpatialFieldConfig& fc) {
 std::vector<VariationMap> generateChips(const PopulationConfig& config,
                                         int first, int count,
                                         std::uint64_t seed) {
-  const SpatialFieldConfig fc = fieldConfigFrom(config);
+  const SpatialFieldConfig fc = populationFieldConfig(config);
   const std::shared_ptr<const SpatialFieldSampler> samplerPtr =
       samplerMemo.obtain(fieldKey(fc), [&] {
         return std::make_shared<const SpatialFieldSampler>(fc);
@@ -105,6 +89,23 @@ std::vector<VariationMap> generateChips(const PopulationConfig& config,
 }
 
 }  // namespace
+
+SpatialFieldConfig populationFieldConfig(const PopulationConfig& config) {
+  SpatialFieldConfig fc;
+  fc.grid = GridShape(config.coreGrid.rows() * config.pointsPerCoreEdge,
+                      config.coreGrid.cols() * config.pointsPerCoreEdge);
+  fc.pointSpacingX = config.coreWidth / config.pointsPerCoreEdge;
+  fc.pointSpacingY = config.coreHeight / config.pointsPerCoreEdge;
+  fc.mean = 1.0;
+  fc.sigma = config.sigmaFraction;
+  const Meters chipEdge =
+      std::max(config.coreWidth * config.coreGrid.cols(),
+               config.coreHeight * config.coreGrid.rows());
+  fc.correlationRange = config.correlationRangeFraction * chipEdge;
+  fc.globalFraction = config.globalFraction;
+  fc.nuggetFraction = config.nuggetFraction;
+  return fc;
+}
 
 std::vector<VariationMap> generateChipPopulation(const PopulationConfig& config,
                                                  int count,

@@ -7,6 +7,7 @@
 
 #include "common/geometry.hpp"
 #include "common/units.hpp"
+#include "variation/spatial_field.hpp"
 #include "variation/variation_map.hpp"
 
 namespace hayat {
@@ -27,6 +28,10 @@ struct PopulationConfig {
   double subthresholdSlopeFactor = 2.5;
   int criticalPathPoints = 3;
 };
+
+/// The correlated field every chip of a `config` population is sampled
+/// from: pointsPerCoreEdge^2 grid points per core.
+SpatialFieldConfig populationFieldConfig(const PopulationConfig& config);
 
 /// Generates `count` chips with independent variation maps.  A given
 /// (config, seed) pair always produces the same population.

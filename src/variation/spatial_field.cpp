@@ -1,60 +1,71 @@
 #include "variation/spatial_field.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 
 namespace hayat {
 
-SpatialFieldSampler::SpatialFieldSampler(const SpatialFieldConfig& config)
-    : config_(config), chol_(buildCovariance(config)) {}
+namespace {
 
-Matrix SpatialFieldSampler::buildCovariance(
-    const SpatialFieldConfig& config) const {
+/// The covariance of two grid points `drow` rows and `dcol` columns
+/// apart: global share + spatial share * exp(-distance / range), plus
+/// the nugget at zero offset (a point with itself).  Negating an offset
+/// negates dx or dy exactly, so the matrix is bitwise symmetric.
+double covarianceAtOffset(const SpatialFieldConfig& config, int drow,
+                          int dcol) {
+  const double var = config.sigma * config.sigma;
+  const double varGlobal = var * config.globalFraction;
+  const double varNugget = var * config.nuggetFraction;
+  const double varSpatial = var - varGlobal - varNugget;
+  const double dx = dcol * config.pointSpacingX;
+  const double dy = drow * config.pointSpacingY;
+  const double dist = std::sqrt(dx * dx + dy * dy);
+  double c = varGlobal + varSpatial * std::exp(-dist / config.correlationRange);
+  if (drow == 0 && dcol == 0) c += varNugget;
+  return c;
+}
+
+/// Factors the field's covariance.  It depends only on the offset
+/// between two points, so each of the (2 rows - 1) x (2 cols - 1)
+/// offsets is evaluated once and the n x n lower triangle is filled
+/// from that table straight into the factor's storage.
+CholeskyFactorization factorCovariance(const SpatialFieldConfig& config) {
   HAYAT_REQUIRE(config.sigma >= 0.0, "sigma must be non-negative");
   HAYAT_REQUIRE(config.correlationRange > 0.0,
                 "correlation range must be positive");
   HAYAT_REQUIRE(config.globalFraction >= 0.0 && config.nuggetFraction >= 0.0 &&
                     config.globalFraction + config.nuggetFraction <= 1.0,
                 "variance fractions must be in [0,1] and sum to <= 1");
-  const int n = config.grid.count();
-  const double var = config.sigma * config.sigma;
-  const double varGlobal = var * config.globalFraction;
-  const double varNugget = var * config.nuggetFraction;
-  const double varSpatial = var - varGlobal - varNugget;
-
-  Matrix cov(n, n);
-  for (int a = 0; a < n; ++a) {
-    const TilePos pa = config.grid.posOf(a);
-    for (int b = a; b < n; ++b) {
-      const TilePos pb = config.grid.posOf(b);
-      const double dx = (pa.col - pb.col) * config.pointSpacingX;
-      const double dy = (pa.row - pb.row) * config.pointSpacingY;
-      const double dist = std::sqrt(dx * dx + dy * dy);
-      double c = varGlobal +
-                 varSpatial * std::exp(-dist / config.correlationRange);
-      if (a == b) c += varNugget;
-      cov(a, b) = c;
-      cov(b, a) = c;
-    }
-  }
-  return cov;
+  const GridShape& grid = config.grid;
+  const int width = 2 * grid.cols() - 1;
+  std::vector<double> byOffset(
+      static_cast<std::size_t>(2 * grid.rows() - 1) *
+      static_cast<std::size_t>(width));
+  for (int drow = 1 - grid.rows(); drow < grid.rows(); ++drow)
+    for (int dcol = 1 - grid.cols(); dcol < grid.cols(); ++dcol)
+      byOffset[static_cast<std::size_t>((drow + grid.rows() - 1) * width +
+                                        dcol + grid.cols() - 1)] =
+          covarianceAtOffset(config, drow, dcol);
+  return CholeskyFactorization(grid.count(), [&](int a, int b) {
+    const TilePos pa = grid.posOf(a);
+    const TilePos pb = grid.posOf(b);
+    return byOffset[static_cast<std::size_t>(
+        (pa.row - pb.row + grid.rows() - 1) * width + pa.col - pb.col +
+        grid.cols() - 1)];
+  });
 }
 
+}  // namespace
+
+SpatialFieldSampler::SpatialFieldSampler(const SpatialFieldConfig& config)
+    : config_(config), chol_(factorCovariance(config)) {}
+
 double SpatialFieldSampler::covariance(int a, int b) const {
-  // Recompute from the config (the factorization does not retain A).
   const TilePos pa = config_.grid.posOf(a);
   const TilePos pb = config_.grid.posOf(b);
-  const double var = config_.sigma * config_.sigma;
-  const double varGlobal = var * config_.globalFraction;
-  const double varNugget = var * config_.nuggetFraction;
-  const double varSpatial = var - varGlobal - varNugget;
-  const double dx = (pa.col - pb.col) * config_.pointSpacingX;
-  const double dy = (pa.row - pb.row) * config_.pointSpacingY;
-  const double dist = std::sqrt(dx * dx + dy * dy);
-  double c = varGlobal + varSpatial * std::exp(-dist / config_.correlationRange);
-  if (a == b) c += varNugget;
-  return c;
+  return covarianceAtOffset(config_, pa.row - pb.row, pa.col - pb.col);
 }
 
 Vector SpatialFieldSampler::sample(Rng& rng) const {

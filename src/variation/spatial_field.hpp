@@ -10,6 +10,9 @@
 //
 // Sampling draws x = mu + L z where L is the Cholesky factor of the
 // covariance matrix — exact for any correlation structure at these sizes.
+// The covariance is written straight into the factor's storage and
+// factored in place (common/matrix.hpp), so a sampler never holds the
+// n x n covariance next to its factor.
 #pragma once
 
 #include "common/geometry.hpp"
@@ -40,8 +43,8 @@ class SpatialFieldSampler {
   /// the grid points).
   Vector sample(Rng& rng) const;
 
-  /// The covariance between grid points a and b implied by the config
-  /// (exposed for statistical tests).
+  /// The covariance between grid points a and b implied by the config —
+  /// the expression the factored covariance is built from.
   double covariance(int a, int b) const;
 
   const SpatialFieldConfig& config() const { return config_; }
@@ -49,8 +52,6 @@ class SpatialFieldSampler {
  private:
   SpatialFieldConfig config_;
   CholeskyFactorization chol_;
-
-  Matrix buildCovariance(const SpatialFieldConfig& config) const;
 };
 
 }  // namespace hayat

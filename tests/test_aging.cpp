@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "aging/aging_table.hpp"
@@ -213,8 +215,55 @@ TEST_F(AgingTableFixture, MatchesDirectEvaluationAtGridPoints) {
   const AgingTable table(nbti_, paths_);
   // Grid nodes are exact by construction (duty 0.25 = (0.5)^2 lies on the
   // quadratic duty axis; 300 K and 10 years are axis points too).
-  EXPECT_NEAR(table.delayFactor(300.0, 0.25, 10.0),
-              paths_.delayFactor(nbti_, 300.0, 0.25, 10.0), 1e-12);
+  const double fromTable = table.delayFactor(300.0, 0.25, 10.0);
+  const double direct = paths_.delayFactor(nbti_, 300.0, 0.25, 10.0);
+  EXPECT_EQ(std::memcmp(&fromTable, &direct, sizeof(double)), 0)
+      << fromTable << " vs " << direct;
+}
+
+TEST(AgingTable, FillIsBitwiseThePerCellDefinition) {
+  // The fill evaluates each one-axis Eq. (7) factor once per axis point;
+  // every cell must still be bitwise CorePathSet::delayFactor there.
+  NbtiConfig skewed;
+  skewed.alphaPower = 1.7;
+  skewed.timeExponent = 0.2;
+  skewed.techScale = 45.0;
+  AgingTableConfig small;
+  small.temperaturePoints = 5;
+  small.dutyPoints = 4;
+  small.maxAge = 25.0;
+  for (const NbtiConfig& nc : {NbtiConfig{}, skewed}) {
+    const NbtiModel nbti(nc);
+    for (const AgingTableConfig& tc : {AgingTableConfig{}, small}) {
+      for (const std::uint64_t seed : {3u, 17u, 2015u}) {
+        Rng rng(seed);
+        const CorePathSet paths = CorePathSet::synthesize(rng, 5, 20);
+        const AgingTable table(nbti, paths, tc);
+        const Table3& raw = table.raw();
+        for (int i = 0; i < raw.axis0().size(); ++i)
+          for (int j = 0; j < raw.axis1().size(); ++j)
+            for (int k = 0; k < raw.axis2().size(); ++k) {
+              const double cell = raw.at(i, j, k);
+              const double direct = paths.delayFactor(
+                  nbti, raw.axis0()[i], raw.axis1()[j], raw.axis2()[k]);
+              ASSERT_EQ(std::memcmp(&cell, &direct, sizeof(double)), 0)
+                  << "seed " << seed << " cell (" << i << ", " << j << ", "
+                  << k << "): " << cell << " vs " << direct;
+            }
+      }
+    }
+  }
+}
+
+TEST(AgingTable, FillRejectsAShiftThatExhaustsTheOverdrive) {
+  // At techScale 400 the hot, old corner's dVth exceeds Vdd - Vth0.
+  NbtiConfig nc;
+  nc.techScale = 400.0;
+  const NbtiModel nbti(nc);
+  Rng rng(5);
+  const CorePathSet paths = CorePathSet::synthesize(rng, 3, 12);
+  EXPECT_THROW(AgingTable(nbti, paths), Error);
+  EXPECT_THROW(paths.delayFactor(nbti, 420.0, 1.0, 40.0), Error);
 }
 
 TEST_F(AgingTableFixture, InterpolationErrorSmall) {

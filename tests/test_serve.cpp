@@ -440,6 +440,48 @@ TEST(SchedulerTest, SameSpecJobsShareOneRunAndTheDiskCache) {
   restarted.detach("job-c", run);
 }
 
+TEST(SchedulerTest, FinishedRunsLeaveMemoryAndComeBackFromTheDiskCache) {
+  TempDir cache("sched_release");
+  const ExperimentSpec spec = testSpec("sched-release");
+  SchedulerConfig config;
+  config.localWorkers = 2;
+  config.cacheDir = cache.path();
+  SweepScheduler scheduler(config);
+
+  const auto executedBefore = counterValue("hayat_serve_tasks_executed_total");
+  const auto releasedBefore = counterValue("hayat_serve_runs_released_total");
+  const auto hitsBefore = counterValue("hayat_serve_table_cache_hits_total");
+  const auto run = scheduler.attach(spec, 0, "job-a");
+  for (int i = 0; i < run->taskCount(); ++i)
+    ASSERT_TRUE(run->waitRow(i, 30000).has_value());
+  const std::string expected = tableBytes(run->table());
+  scheduler.detach("job-a", run);
+
+  // The table is stored on the lane thread after the last row; once it
+  // is on disk and no job holds the run, the scheduler lets it go.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (counterValue("hayat_serve_runs_released_total") == releasedBefore &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(counterValue("hayat_serve_runs_released_total") - releasedBefore,
+            1u);
+  EXPECT_EQ(tableBytes(run->table()), expected);  // a held run stays valid
+
+  // The same spec again: a new run, served whole from the disk cache.
+  const auto again = scheduler.attach(spec, 0, "job-b");
+  EXPECT_NE(again.get(), run.get());
+  EXPECT_TRUE(again->complete());
+  EXPECT_EQ(tableBytes(again->table()), expected);
+  EXPECT_EQ(counterValue("hayat_serve_tasks_executed_total") - executedBefore,
+            static_cast<std::uint64_t>(spec.taskCount()));
+  EXPECT_EQ(counterValue("hayat_serve_table_cache_hits_total") - hitsBefore,
+            1u);
+  scheduler.detach("job-b", again);
+  EXPECT_EQ(counterValue("hayat_serve_runs_released_total") - releasedBefore,
+            2u);
+}
+
 // ----------------------------------------------------------- the daemon
 
 ServeConfig smallServerConfig(const std::string& queueDir,

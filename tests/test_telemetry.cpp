@@ -667,6 +667,34 @@ TEST(TelemetryByteIdentityTest, EnabledCollectionDoesNotChangeResults) {
   EXPECT_EQ(guardSum() - guardsBefore, candidates);
 }
 
+TEST(StartupBuildTelemetryTest, MemoMissesAreTimedUnderTheirHistograms) {
+  // The four start-up memos register their build histograms during
+  // static initialisation, before any lookup.
+  const auto buildCount = [](const std::string& name) {
+    for (const telemetry::HistogramSnapshot& h :
+         telemetry::Registry::global().snapshot().histograms)
+      if (h.name == name) return static_cast<std::int64_t>(h.count);
+    return std::int64_t{-1};
+  };
+  for (const char* name :
+       {"hayat_aging_table_build_seconds",
+        "hayat_variation_sampler_build_seconds",
+        "hayat_thermal_lu_build_seconds",
+        "hayat_thermal_influence_build_seconds"})
+    EXPECT_GE(buildCount(name), 0) << name;
+
+  // Chips of a population seed no other test uses miss the aging-table
+  // memo, so their table builds are timed.
+  const std::int64_t before = buildCount("hayat_aging_table_build_seconds");
+  ExperimentSpec spec = testSpec();
+  spec.populationSeed = 0x5eed5eedull;
+  {
+    const telemetry::ScopedTelemetry on;
+    (void)runLocal(spec);
+  }
+  EXPECT_GE(buildCount("hayat_aging_table_build_seconds") - before, 2);
+}
+
 TEST(DispatchTelemetryTest, WorkerCounterDeltasMergeOnTheCoordinator) {
   const ExperimentSpec spec = testSpec();
   const SweepTable serial = runLocal(spec);

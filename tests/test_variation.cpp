@@ -7,8 +7,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 
+#include "cholesky_reference.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/statistics.hpp"
 #include "variation/population.hpp"
 #include "variation/spatial_field.hpp"
@@ -28,6 +32,70 @@ SpatialFieldConfig smallFieldConfig() {
   fc.globalFraction = 0.2;
   fc.nuggetFraction = 0.1;
   return fc;
+}
+
+// --- In-place tiled Cholesky ---------------------------------------------
+
+/// Factors `a` both ways and requires identical bytes for L and for L z.
+void expectTiledFactorIsTheReference(const Matrix& a, const std::string& what) {
+  const int n = a.rows();
+  const CholeskyFactorization tiled(a);
+  const Matrix reference = testref::columnOrderCholesky(a);
+  const Matrix lower = testref::lowerOf(tiled);
+  const auto size = static_cast<std::size_t>(n);
+  const std::size_t bytes = size * size * sizeof(double);
+  EXPECT_EQ(std::memcmp(lower.data().data(), reference.data().data(), bytes),
+            0)
+      << what << ": factor";
+  Rng rng(static_cast<std::uint64_t>(n) + 7);
+  const Vector z = rng.gaussianVector(n);
+  const Vector mine = tiled.applyL(z);
+  const Vector theirs = testref::columnOrderApplyL(reference, z);
+  EXPECT_EQ(std::memcmp(mine.data(), theirs.data(), size * sizeof(double)), 0)
+      << what << ": applyL";
+}
+
+TEST(Cholesky, TiledFactorIsBitwiseTheColumnOrderReference) {
+  // Sizes around the 8-row panel and the 2-column step: empty tile
+  // sets, partial last panels, odd last columns.
+  Rng rng(31);
+  for (const int n : {1, 2, 7, 8, 9, 15, 17, 63, 64, 65}) {
+    Matrix b(n, n);
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) b(i, j) = rng.gaussian();
+    Matrix a(n, n);  // B B^T + n I: symmetric positive definite
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) {
+        double acc = i == j ? n : 0.0;
+        for (int k = 0; k < n; ++k) acc += b(i, k) * b(j, k);
+        a(i, j) = acc;
+      }
+    expectTiledFactorIsTheReference(a, "random n=" + std::to_string(n));
+  }
+  // The variation fields of 8x8 and 16x16 chips (256 and 1024 points).
+  for (const int edge : {8, 16}) {
+    PopulationConfig pc;
+    pc.coreGrid = GridShape(edge, edge);
+    const SpatialFieldSampler sampler(populationFieldConfig(pc));
+    const int n = sampler.config().grid.count();
+    Matrix a(n, n);
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) a(i, j) = sampler.covariance(i, j);
+    expectTiledFactorIsTheReference(a, "field " + std::to_string(edge));
+  }
+}
+
+TEST(Cholesky, TiledFactorRejectsAnIndefiniteMatrix) {
+  // Positive definite except in the last column, which the tiles reach
+  // only after every earlier panel has been factored.
+  for (const int n : {2, 9, 20}) {
+    Matrix a = Matrix::identity(n);
+    a(n - 1, n - 1) = -1.0;
+    EXPECT_THROW(CholeskyFactorization{a}, Error) << n;
+  }
+  Matrix a = Matrix::identity(20);
+  a(19, 3) = a(3, 19) = 2.0;  // |off-diagonal| > 1: indefinite
+  EXPECT_THROW(CholeskyFactorization{a}, Error);
 }
 
 // --- Spatial field -------------------------------------------------------
@@ -271,6 +339,28 @@ TEST(Population, IndexedChipIsBitwiseThePopulationMember) {
           << "chip " << index << ", point " << p;
   }
   EXPECT_THROW(generateChip(pc, 77, -1), Error);
+}
+
+TEST(Population, ChipDigestIsPinned16x16) {
+  // FNV-1a over the bit patterns of every theta and fmax of four 16x16
+  // chips (a 1024-point field): pins the sampler's Cholesky factor and
+  // applyL bytes, not just their statistics.
+  PopulationConfig pc;
+  pc.coreGrid = GridShape(16, 16);
+  const auto chips = generateChipPopulation(pc, 4, 2015);
+  std::uint64_t h = 1469598103934665603ull;
+  const auto append = [&h](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const VariationMap& chip : chips) {
+    for (int p = 0; p < chip.pointGrid().count(); ++p) append(chip.theta(p));
+    for (int i = 0; i < chip.coreCount(); ++i) append(chip.coreInitialFmax(i));
+  }
+  EXPECT_EQ(h, 0x48177bdec1bff8edull);
 }
 
 TEST(Population, ChipToChipMeanVariation) {
