@@ -11,26 +11,21 @@ namespace hayat {
 
 namespace {
 
-/// Counts inverse solves (each replays or runs one 60-iteration
-/// bisection) — the hottest aging kernel, tracked for the
-/// lifetime-breakdown bench.
+/// Inverse solves (each replays or runs one 60-iteration bisection) —
+/// the hottest aging kernel, tracked for the lifetime-breakdown bench.
+telemetry::Counter& bisectionsTotal = telemetry::Registry::global().counter(
+    "hayat_equivalent_age_bisections_total");
+
+/// Lookups served through the batched/cursor fast path.
+telemetry::Counter& batchLookupsTotal =
+    telemetry::Registry::global().counter("hayat_aging_batch_lookups_total");
+
 void countBisection() {
-  if (telemetry::enabled()) {
-    static telemetry::Counter& bisections =
-        telemetry::Registry::global().counter(
-            "hayat_equivalent_age_bisections_total");
-    bisections.add();
-  }
+  if (telemetry::enabled()) bisectionsTotal.add();
 }
 
-/// Counts lookups served through the batched/cursor fast path.
 void countBatchLookups(std::uint64_t n) {
-  if (telemetry::enabled()) {
-    static telemetry::Counter& lookups =
-        telemetry::Registry::global().counter(
-            "hayat_aging_batch_lookups_total");
-    lookups.add(n);
-  }
+  if (telemetry::enabled()) batchLookupsTotal.add(n);
 }
 
 /// Replays the reference bisection of equivalentAgeScalar on a pinned

@@ -10,6 +10,8 @@ namespace hayat {
 
 namespace {
 std::atomic<std::uint64_t> advanceAllocs{0};
+telemetry::Counter& advanceAllocsTotal =
+    telemetry::Registry::global().counter("hayat_health_advance_allocs");
 }  // namespace
 
 std::uint64_t healthAdvanceAllocs() { return advanceAllocs.load(); }
@@ -85,11 +87,7 @@ void HealthMap::advanceAll(const AgingTable& table, const double* temperature,
 
   for (std::size_t i = 0; i < sn; ++i)
     states_[i] = CoreAgingState::fromDelayFactor(factors_[i]);
-  if (telemetry::enabled() && allocs > 0) {
-    static telemetry::Counter& counter =
-        telemetry::Registry::global().counter("hayat_health_advance_allocs");
-    counter.add(allocs);
-  }
+  if (telemetry::enabled() && allocs > 0) advanceAllocsTotal.add(allocs);
 }
 
 std::vector<Hertz> HealthMap::currentFmaxAll() const {

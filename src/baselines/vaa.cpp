@@ -10,6 +10,9 @@ namespace hayat {
 
 namespace {
 
+telemetry::Counter& decisionsTotal =
+    telemetry::Registry::global().counter("hayat_policy_vaa_decisions_total");
+
 /// Availability score of a first-node candidate: number of idle cores
 /// within the Manhattan radius (Fattah's square-region availability).
 int availabilityScore(const GridShape& grid, const std::vector<bool>& busy,
@@ -141,12 +144,7 @@ void VaaPolicy::placeOneApplication(const PolicyContext& context,
 
 Mapping VaaPolicy::map(const PolicyContext& context) {
   const telemetry::Span mapSpan("policy.vaa.map");
-  if (telemetry::enabled()) {
-    static telemetry::Counter& decisions =
-        telemetry::Registry::global().counter(
-            "hayat_policy_vaa_decisions_total");
-    decisions.add();
-  }
+  if (telemetry::enabled()) decisionsTotal.add();
   HAYAT_REQUIRE(context.chip && context.mix, "incomplete policy context");
   const Chip& chip = *context.chip;
   const int n = chip.coreCount();

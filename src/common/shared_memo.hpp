@@ -20,8 +20,9 @@
 // initialisation and never destroyed (`*new SharedMemo<V>(...)`): no
 // first-use initialiser can be in flight when a worker is forked, and
 // the constructor adds the memo's mutex to those held across fork()
-// (telemetry::holdAcrossFork).  The build histogram is registered there
-// too, never through a function-local static.  A build that another
+// (telemetry::holdAcrossFork).  The constructor also binds the memo's
+// hit and miss counters and its build histogram, so they are registered
+// before main() like every other metric handle.  A build that another
 // thread had in flight at fork() never finishes in the child, so the
 // child builds that key again.
 #pragma once
@@ -51,11 +52,11 @@ class SharedMemo {
   /// Keeps the `cap` most recently used values.  While telemetry is
   /// enabled, lookups count under the counters `hitsName`/`missesName`
   /// and each build's seconds go to the histogram `buildSecondsName`.
-  SharedMemo(std::size_t cap, std::string hitsName, std::string missesName,
-             const std::string& buildSecondsName)
+  SharedMemo(std::size_t cap, const std::string& hitsName,
+             const std::string& missesName, const std::string& buildSecondsName)
       : cap_(cap),
-        hitsName_(std::move(hitsName)),
-        missesName_(std::move(missesName)),
+        hits_(telemetry::Registry::global().counter(hitsName)),
+        misses_(telemetry::Registry::global().counter(missesName)),
         buildSeconds_(telemetry::Registry::global().histogram(
             buildSecondsName, {1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0,
                                3.0, 10.0, 30.0})) {
@@ -81,11 +82,11 @@ class SharedMemo {
                        [&](const Entry& e) { return e.key == key; });
       if (it != entries_.end() && usable(*it)) {
         std::rotate(it, it + 1, entries_.end());  // most recent at the back
-        count(hits_, hitsName_);
+        if (telemetry::enabled()) hits_.add();
         value = entries_.back().value;
       } else {
         if (it != entries_.end()) entries_.erase(it);
-        count(misses_, missesName_);
+        if (telemetry::enabled()) misses_.add();
         value = promise.get_future().share();
         buildId = ++builds_;
         entries_.push_back({key, value, ::getpid(), buildId});
@@ -144,23 +145,12 @@ class SharedMemo {
     if (it != entries_.end()) entries_.erase(it);
   }
 
-  /// Resolves the counter on first use, under mutex_ (metric objects
-  /// never move, so the pointer stays valid).
-  void count(telemetry::Counter*& counter, const std::string& name) {
-    if (!telemetry::enabled()) return;
-    if (counter == nullptr)
-      counter = &telemetry::Registry::global().counter(name);
-    counter->add();
-  }
-
   const std::size_t cap_;
-  const std::string hitsName_;
-  const std::string missesName_;
+  telemetry::Counter& hits_;
+  telemetry::Counter& misses_;
   telemetry::Histogram& buildSeconds_;
   std::mutex mutex_;
-  telemetry::Counter* hits_ = nullptr;    ///< guarded by mutex_
-  telemetry::Counter* misses_ = nullptr;  ///< guarded by mutex_
-  std::uint64_t builds_ = 0;              ///< guarded by mutex_
+  std::uint64_t builds_ = 0;  ///< guarded by mutex_
   /// Guarded by mutex_; least recently used at the front.
   std::vector<Entry> entries_;
 };

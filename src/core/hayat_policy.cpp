@@ -15,6 +15,21 @@ namespace hayat {
 namespace {
 std::atomic<std::uint64_t> placementLoopAllocs{0};
 
+telemetry::Counter& decisionsTotal =
+    telemetry::Registry::global().counter("hayat_policy_hayat_decisions_total");
+telemetry::Counter& placementAllocsTotal =
+    telemetry::Registry::global().counter("hayat_policy_placement_allocs");
+telemetry::Counter& candidatesTotal =
+    telemetry::Registry::global().counter("hayat_policy_candidates_total");
+telemetry::Counter& selfRejectTotal = telemetry::Registry::global().counter(
+    "hayat_policy_tsafe_self_reject_total");
+telemetry::Counter& hotRejectTotal = telemetry::Registry::global().counter(
+    "hayat_policy_tsafe_hot_reject_total");
+telemetry::Counter& boundAdmitTotal = telemetry::Registry::global().counter(
+    "hayat_policy_tsafe_bound_admit_total");
+telemetry::Counter& grayWalkTotal = telemetry::Registry::global().counter(
+    "hayat_policy_tsafe_gray_walk_total");
+
 /// Commits between full fixed-point re-anchors of the prediction
 /// baseline (§3.11).  Each commit is a rank-1 fold that neglects the
 /// leakage re-coupling of the *other* powered cores, and that neglect
@@ -59,12 +74,7 @@ double HayatPolicy::weightOf(double slackGHz, double healthRatio,
 
 Mapping HayatPolicy::map(const PolicyContext& context) {
   const telemetry::Span mapSpan("policy.hayat.map");
-  if (telemetry::enabled()) {
-    static telemetry::Counter& decisions =
-        telemetry::Registry::global().counter(
-            "hayat_policy_hayat_decisions_total");
-    decisions.add();
-  }
+  if (telemetry::enabled()) decisionsTotal.add();
   HAYAT_REQUIRE(context.chip && context.mix && context.thermal &&
                     context.leakage,
                 "incomplete policy context");
@@ -409,30 +419,16 @@ void HayatPolicy::placeThreads(const PolicyContext& context,
 
   const std::uint64_t loopAllocs = heapAllocationCount() - allocsBefore;
   placementLoopAllocs.fetch_add(loopAllocs, std::memory_order_relaxed);
-  if (telemetry::enabled() && loopAllocs > 0) {
-    static telemetry::Counter& counter =
-        telemetry::Registry::global().counter(
-            "hayat_policy_placement_allocs");
-    counter.add(loopAllocs);
-  }
+  if (telemetry::enabled() && loopAllocs > 0)
+    placementAllocsTotal.add(loopAllocs);
   if (telemetry::enabled()) {
-    static telemetry::Counter& feasibleCounter =
-        telemetry::Registry::global().counter(
-            "hayat_policy_candidates_total");
-    feasibleCounter.add(candidatesFeasibleTotal);
+    candidatesTotal.add(candidatesFeasibleTotal);
     // Which branch of the Tsafe guard decided each candidate
-    // (ThermalPredictor::GuardPath order).
-    static telemetry::Counter* const guardCounters[4] = {
-        &telemetry::Registry::global().counter(
-            "hayat_policy_tsafe_self_reject_total"),
-        &telemetry::Registry::global().counter(
-            "hayat_policy_tsafe_hot_reject_total"),
-        &telemetry::Registry::global().counter(
-            "hayat_policy_tsafe_bound_admit_total"),
-        &telemetry::Registry::global().counter(
-            "hayat_policy_tsafe_gray_walk_total"),
-    };
-    for (int k = 0; k < 4; ++k) guardCounters[k]->add(guardTotals[k]);
+    // (guardTotals is indexed in ThermalPredictor::GuardPath order).
+    selfRejectTotal.add(guardTotals[0]);
+    hotRejectTotal.add(guardTotals[1]);
+    boundAdmitTotal.add(guardTotals[2]);
+    grayWalkTotal.add(guardTotals[3]);
   }
 }
 

@@ -206,6 +206,11 @@ Years LifetimeResult::yearsUntilAverageFmaxBelow(Hertz threshold) const {
 
 namespace {
 
+telemetry::Counter& runsTotal =
+    telemetry::Registry::global().counter("hayat_lifetime_runs_total");
+telemetry::Counter& epochsTotal =
+    telemetry::Registry::global().counter("hayat_lifetime_epochs_total");
+
 void validate(const LifetimeConfig& config) {
   HAYAT_REQUIRE(config.mixChurn >= 0.0 && config.mixChurn <= 1.0,
                 "mix churn must be in [0, 1]");
@@ -248,11 +253,7 @@ LifetimeRun::LifetimeRun(const LifetimeConfig& config, System& system,
       workloadRng_(config.workloadSeed),
       sensorRng_(config.sensorSeed),
       mapping_(chip_.coreCount()) {
-  if (telemetry::enabled()) {
-    static telemetry::Counter& runs =
-        telemetry::Registry::global().counter("hayat_lifetime_runs_total");
-    runs.add();
-  }
+  if (telemetry::enabled()) runsTotal.add();
   const int n = chip_.coreCount();
   result_.horizon = config_.horizon;
   // Sized once: callers keep results (a sweep table holds every run's),
@@ -292,11 +293,7 @@ EpochLane LifetimeRun::beginEpoch() {
   HAYAT_REQUIRE(!done() && !inEpoch_, "no epoch to begin");
   const TotalPhaseTimer timer;
   inEpoch_ = true;
-  if (telemetry::enabled()) {
-    static telemetry::Counter& epochs =
-        telemetry::Registry::global().counter("hayat_lifetime_epochs_total");
-    epochs.add();
-  }
+  if (telemetry::enabled()) epochsTotal.add();
   const int n = chip_.coreCount();
   const int e = epoch_;
   if (!config_.fixedMix.has_value() && e > 0) {

@@ -26,6 +26,11 @@ namespace hayat::engine {
 
 namespace {
 
+telemetry::Counter& runsTotal =
+    telemetry::Registry::global().counter("hayat_engine_runs_total");
+telemetry::Counter& tasksTotal =
+    telemetry::Registry::global().counter("hayat_engine_tasks_total");
+
 /// Runs every task of `spec` on the lanes of a scheduler built for this
 /// call — one lane per endpoint slot, each degrading to its own thread
 /// when its worker cannot be reached.  The caller owns the result cache,
@@ -255,11 +260,7 @@ RunResult ExperimentEngine::runWithPolicy(System& system,
 
 SweepTable ExperimentEngine::run(const ExperimentSpec& spec) const {
   const telemetry::Span runSpan("engine.run");
-  if (telemetry::enabled()) {
-    static telemetry::Counter& runs =
-        telemetry::Registry::global().counter("hayat_engine_runs_total");
-    runs.add();
-  }
+  if (telemetry::enabled()) runsTotal.add();
 
   // Endpoint syntax errors are loud, and deliberately precede the cache
   // check — a typo'd topology must not be masked by a cache hit.
@@ -283,11 +284,7 @@ SweepTable ExperimentEngine::run(const ExperimentSpec& spec) const {
   }
 
   const std::vector<RunTask> tasks = expand(spec);
-  if (telemetry::enabled()) {
-    static telemetry::Counter& expanded =
-        telemetry::Registry::global().counter("hayat_engine_tasks_total");
-    expanded.add(tasks.size());
-  }
+  if (telemetry::enabled()) tasksTotal.add(tasks.size());
   // A fixed mix has no wire form, so such specs always run in-process.
   const bool onLanes = !endpoints.empty() && !spec.lifetime.fixedMix;
   SweepTable table;

@@ -18,6 +18,23 @@ namespace {
 
 constexpr const char* kMagicPrefix = "# hayat-result-cache v";
 
+telemetry::Counter& hitsTotal =
+    telemetry::Registry::global().counter("hayat_result_cache_hits_total");
+telemetry::Counter& missesTotal =
+    telemetry::Registry::global().counter("hayat_result_cache_misses_total");
+telemetry::Counter& orphansDroppedTotal = telemetry::Registry::global().counter(
+    "hayat_result_cache_orphans_dropped_total");
+telemetry::Counter& storesTotal =
+    telemetry::Registry::global().counter("hayat_result_cache_stores_total");
+telemetry::Counter& pushStoredTotal = telemetry::Registry::global().counter(
+    "hayat_result_cache_push_stored_total");
+telemetry::Counter& evictedAgeTotal = telemetry::Registry::global().counter(
+    "hayat_result_cache_evicted_age_total");
+telemetry::Counter& evictedSizeTotal = telemetry::Registry::global().counter(
+    "hayat_result_cache_evicted_size_total");
+telemetry::Counter& evictedBytesTotal = telemetry::Registry::global().counter(
+    "hayat_result_cache_evicted_bytes_total");
+
 std::string magicLine() {
   return kMagicPrefix + std::to_string(kCacheFormatVersion);
 }
@@ -233,23 +250,14 @@ bool storePushedCacheEntry(const std::string& dir, const std::string& name,
     if (!out) return false;
   }
   std::filesystem::rename(tmp, path, ec);
-  if (!ec && telemetry::enabled()) {
-    static telemetry::Counter& stored = telemetry::Registry::global().counter(
-        "hayat_result_cache_push_stored_total");
-    stored.add();
-  }
+  if (!ec && telemetry::enabled()) pushStoredTotal.add();
   return !ec;
 }
 
 std::optional<SweepTable> loadCachedTable(const std::string& dir,
                                           const ExperimentSpec& spec) {
   const auto miss = []() -> std::optional<SweepTable> {
-    if (telemetry::enabled()) {
-      static telemetry::Counter& misses =
-          telemetry::Registry::global().counter(
-              "hayat_result_cache_misses_total");
-      misses.add();
-    }
+    if (telemetry::enabled()) missesTotal.add();
     return std::nullopt;
   };
 
@@ -267,21 +275,12 @@ std::optional<SweepTable> loadCachedTable(const std::string& dir,
     std::filesystem::remove(path, ec);
     std::fprintf(stderr, "[engine] dropped stale cache entry %s\n",
                  path.c_str());
-    if (telemetry::enabled()) {
-      static telemetry::Counter& orphans =
-          telemetry::Registry::global().counter(
-              "hayat_result_cache_orphans_dropped_total");
-      orphans.add();
-    }
+    if (telemetry::enabled()) orphansDroppedTotal.add();
     return miss();
   };
 
   const auto hit = [&](SweepTable table) -> std::optional<SweepTable> {
-    if (telemetry::enabled()) {
-      static telemetry::Counter& hits =
-          telemetry::Registry::global().counter("hayat_result_cache_hits_total");
-      hits.add();
-    }
+    if (telemetry::enabled()) hitsTotal.add();
     return table;
   };
 
@@ -346,11 +345,7 @@ bool storeCachedTable(const std::string& dir, const ExperimentSpec& spec,
     if (!out) return false;
   }
   std::filesystem::rename(tmp, path, ec);
-  if (!ec && telemetry::enabled()) {
-    static telemetry::Counter& stores = telemetry::Registry::global().counter(
-        "hayat_result_cache_stores_total");
-    stores.add();
-  }
+  if (!ec && telemetry::enabled()) storesTotal.add();
   return !ec;
 }
 
@@ -424,15 +419,9 @@ CacheEvictionStats evictResultCache(const std::string& dir,
 
   if (telemetry::enabled() &&
       (stats.evictedByAge > 0 || stats.evictedBySize > 0)) {
-    static telemetry::Counter& byAge = telemetry::Registry::global().counter(
-        "hayat_result_cache_evicted_age_total");
-    static telemetry::Counter& bySize = telemetry::Registry::global().counter(
-        "hayat_result_cache_evicted_size_total");
-    static telemetry::Counter& bytes = telemetry::Registry::global().counter(
-        "hayat_result_cache_evicted_bytes_total");
-    byAge.add(stats.evictedByAge);
-    bySize.add(stats.evictedBySize);
-    bytes.add(stats.evictedBytes);
+    evictedAgeTotal.add(stats.evictedByAge);
+    evictedSizeTotal.add(stats.evictedBySize);
+    evictedBytesTotal.add(stats.evictedBytes);
   }
   return stats;
 }

@@ -19,9 +19,30 @@ namespace hayat::engine {
 
 namespace {
 
-void count(const char* name, std::uint64_t n = 1) {
-  telemetry::Registry::global().counter(name).add(n);
-}
+telemetry::Counter& laneDeathsTotal =
+    telemetry::Registry::global().counter("hayat_serve_lane_deaths_total");
+telemetry::Counter& laneRespawnsTotal =
+    telemetry::Registry::global().counter("hayat_serve_lane_respawns_total");
+telemetry::Counter& runsAbandonedTotal =
+    telemetry::Registry::global().counter("hayat_serve_runs_abandoned_total");
+telemetry::Counter& runsFailedTotal =
+    telemetry::Registry::global().counter("hayat_serve_runs_failed_total");
+telemetry::Counter& runsReleasedTotal =
+    telemetry::Registry::global().counter("hayat_serve_runs_released_total");
+telemetry::Counter& sharedTasksTotal =
+    telemetry::Registry::global().counter("hayat_serve_shared_tasks_total");
+telemetry::Counter& tableCacheHitsTotal =
+    telemetry::Registry::global().counter("hayat_serve_table_cache_hits_total");
+telemetry::Counter& tableStoresTotal = telemetry::Registry::global().counter(
+    "hayat_serve_table_cache_stores_total");
+telemetry::Counter& tasksExecutedTotal =
+    telemetry::Registry::global().counter("hayat_serve_tasks_executed_total");
+telemetry::Counter& localFallbackTotal = telemetry::Registry::global().counter(
+    "hayat_serve_tasks_local_fallback_total");
+telemetry::Counter& tasksLocalTotal =
+    telemetry::Registry::global().counter("hayat_serve_tasks_local_total");
+telemetry::Counter& tasksRemoteTotal =
+    telemetry::Registry::global().counter("hayat_serve_tasks_remote_total");
 
 std::string canonicalRow(const RunResult& result) {
   std::ostringstream out;
@@ -156,8 +177,7 @@ std::shared_ptr<SpecRun> SweepScheduler::attach(const ExperimentSpec& spec,
       const std::shared_ptr<SpecRun>& run = it->second;
       run->jobs_.insert(jobId);
       run->priority_ = std::max(run->priority_, priority);
-      count("hayat_serve_shared_tasks_total",
-            static_cast<std::uint64_t>(run->taskCount()));
+      sharedTasksTotal.add(static_cast<std::uint64_t>(run->taskCount()));
       if (run->abandoned_) {
         // Resurrect: re-queue every cell the abandonment parked.
         run->abandoned_ = false;
@@ -211,15 +231,13 @@ std::shared_ptr<SpecRun> SweepScheduler::attach(const ExperimentSpec& spec,
     // Lost the race; join the winner.
     it->second->jobs_.insert(jobId);
     it->second->priority_ = std::max(it->second->priority_, priority);
-    count("hayat_serve_shared_tasks_total",
-          static_cast<std::uint64_t>(it->second->taskCount()));
+    sharedTasksTotal.add(static_cast<std::uint64_t>(it->second->taskCount()));
     return it->second;
   }
   runs_[hash] = run;
   if (cached) {
-    count("hayat_serve_table_cache_hits_total");
-    count("hayat_serve_shared_tasks_total",
-          static_cast<std::uint64_t>(run->taskCount()));
+    tableCacheHitsTotal.add();
+    sharedTasksTotal.add(static_cast<std::uint64_t>(run->taskCount()));
     rowCv_.notify_all();
   } else {
     for (int i = 0; i < run->taskCount(); ++i) run->pending_.push_back(i);
@@ -246,7 +264,7 @@ void SweepScheduler::detach(const std::string& jobId,
   run->pending_.clear();
   active_.erase(std::remove(active_.begin(), active_.end(), run),
                 active_.end());
-  count("hayat_serve_runs_abandoned_total");
+  runsAbandonedTotal.add();
   rowCv_.notify_all();
 }
 
@@ -305,7 +323,7 @@ void SweepScheduler::completeWork(const Work& work, bool ok,
       run.pending_.clear();
       active_.erase(std::remove(active_.begin(), active_.end(), work.run),
                     active_.end());
-      count("hayat_serve_runs_failed_total");
+      runsFailedTotal.add();
       rowCv_.notify_all();
       return;
     }
@@ -314,7 +332,7 @@ void SweepScheduler::completeWork(const Work& work, bool ok,
       cell.row = canonicalRow(result);
       cell.state = SpecRun::CellState::Done;
       ++run.done_;
-      count("hayat_serve_tasks_executed_total");
+      tasksExecutedTotal.add();
     }
     if (run.done_ == static_cast<int>(run.cells_.size()) && !run.stored_ &&
         cacheEnabled_ && !run.failed_) {
@@ -333,7 +351,7 @@ void SweepScheduler::completeWork(const Work& work, bool ok,
     // File I/O outside the lock; the cache is shared with one-shot CLI
     // sweeps and future daemon incarnations.
     if (storeCachedTable(cacheDir_, spec, table)) {
-      count("hayat_serve_table_cache_stores_total");
+      tableStoresTotal.add();
       std::lock_guard<std::mutex> lock(mutex_);
       work.run->onDisk_ = true;
       if (work.run->jobs_.empty()) releaseLocked(work.run);
@@ -348,7 +366,7 @@ void SweepScheduler::releaseLocked(const std::shared_ptr<SpecRun>& run) {
   const auto it = runs_.find(run->hash_);
   if (it != runs_.end() && it->second == run) {
     runs_.erase(it);
-    count("hayat_serve_runs_released_total");
+    runsReleasedTotal.add();
   }
 }
 
@@ -374,13 +392,13 @@ void SweepScheduler::laneLoop(std::size_t laneIdx) {
     if (lane.remote && runRemote(lane, static_cast<int>(laneIdx), work, hash,
                                  payload, storage)) {
       ok = true;
-      count("hayat_serve_tasks_remote_total");
+      tasksRemoteTotal.add();
     } else {
       try {
         storage = ExperimentEngine::runTask(task, populationSeed);
         ok = true;
-        if (lane.remote) count("hayat_serve_tasks_local_fallback_total");
-        count("hayat_serve_tasks_local_total");
+        if (lane.remote) localFallbackTotal.add();
+        tasksLocalTotal.add();
       } catch (const std::exception& e) {
         error = e.what();
       }
@@ -399,7 +417,7 @@ bool SweepScheduler::ensureLane(Lane& lane, int slot) {
     ++lane.deaths;
     return false;
   }
-  if (lane.deaths > 0) count("hayat_serve_lane_respawns_total");
+  if (lane.deaths > 0) laneRespawnsTotal.add();
   return true;
 }
 
@@ -424,7 +442,7 @@ bool SweepScheduler::runRemote(Lane& lane, int slot, const Work& work,
   const auto fail = [&] {
     killLane(lane);
     ++lane.deaths;
-    count("hayat_serve_lane_deaths_total");
+    laneDeathsTotal.add();
     return false;
   };
   if (lane.sentSpecs.insert(hash).second) {

@@ -12,6 +12,13 @@
 
 namespace hayat::engine {
 
+namespace {
+telemetry::Counter& tasksTotal =
+    telemetry::Registry::global().counter("hayat_pool_tasks_total");
+telemetry::Gauge& poolWorkers =
+    telemetry::Registry::global().gauge("hayat_pool_workers");
+}  // namespace
+
 int defaultWorkerCount() {
   if (const char* env = std::getenv("HAYAT_WORKERS")) {
     const int n = std::atoi(env);
@@ -30,11 +37,7 @@ void runParallel(int count, int workers,
   if (workers > count) workers = count;
 
   if (telemetry::enabled()) {
-    static telemetry::Counter& tasks =
-        telemetry::Registry::global().counter("hayat_pool_tasks_total");
-    static telemetry::Gauge& poolWorkers =
-        telemetry::Registry::global().gauge("hayat_pool_workers");
-    tasks.add(static_cast<std::uint64_t>(count));
+    tasksTotal.add(static_cast<std::uint64_t>(count));
     poolWorkers.set(workers);
   }
 

@@ -141,35 +141,16 @@ int parseIndexLine(std::istream& in, const char* what) {
   return std::stoi(line.substr(6));
 }
 
-/// The wire's telemetry counters, looked up on first use.  The lookup
-/// locks the telemetry registry, which fork() holds (installForkHandlers),
-/// so a lane thread can sit inside this static's initialization while
-/// another lane forks a worker; the child would then wait forever on the
-/// inherited in-progress guard when it first writes.  primeWireTelemetry
-/// finishes the initialization before every fork.
-struct WireCounters {
-  telemetry::Counter& messagesSent;
-  telemetry::Counter& bytesSent;
-  telemetry::Counter& messagesReceived;
-  telemetry::Counter& bytesReceived;
-};
-
-const WireCounters& wireCounters() {
-  static const WireCounters counters{
-      telemetry::Registry::global().counter("hayat_wire_messages_sent_total"),
-      telemetry::Registry::global().counter("hayat_wire_bytes_sent_total"),
-      telemetry::Registry::global().counter(
-          "hayat_wire_messages_received_total"),
-      telemetry::Registry::global().counter(
-          "hayat_wire_bytes_received_total")};
-  return counters;
-}
+telemetry::Counter& messagesSentTotal =
+    telemetry::Registry::global().counter("hayat_wire_messages_sent_total");
+telemetry::Counter& bytesSentTotal =
+    telemetry::Registry::global().counter("hayat_wire_bytes_sent_total");
+telemetry::Counter& messagesReceivedTotal =
+    telemetry::Registry::global().counter("hayat_wire_messages_received_total");
+telemetry::Counter& bytesReceivedTotal =
+    telemetry::Registry::global().counter("hayat_wire_bytes_received_total");
 
 }  // namespace
-
-void primeWireTelemetry() {
-  if (telemetry::enabled()) wireCounters();
-}
 
 bool writeMessage(int fd, MsgType type, const std::string& payload) {
   if (payload.size() > kMaxPayload) return false;
@@ -208,8 +189,8 @@ bool writeMessage(int fd, MsgType type, const std::string& payload) {
   const bool ok = writeAll(fd, header, sizeof(header)) &&
                   writeAll(fd, body->data(), body->size());
   if (ok && telemetry::enabled()) {
-    wireCounters().messagesSent.add();
-    wireCounters().bytesSent.add(sizeof(header) + body->size());
+    messagesSentTotal.add();
+    bytesSentTotal.add(sizeof(header) + body->size());
   }
   return ok;
 }
@@ -233,8 +214,8 @@ bool readMessage(int fd, Message& out) {
   out.payload.resize(size);
   if (size != 0 && !readAll(fd, out.payload.data(), size)) return false;
   if (telemetry::enabled()) {
-    wireCounters().messagesReceived.add();
-    wireCounters().bytesReceived.add(sizeof(header) + size);
+    messagesReceivedTotal.add();
+    bytesReceivedTotal.add(sizeof(header) + size);
   }
   return true;
 }

@@ -67,11 +67,6 @@ struct Message {
   std::string payload;
 };
 
-/// Creates the wire's telemetry counters now if telemetry is on.
-/// spawnWorker calls it before fork() so no worker inherits a
-/// half-finished counter lookup.
-void primeWireTelemetry();
-
 /// Writes one framed message; retries on EINTR / short writes.  Returns
 /// false on any write error (e.g. EPIPE after a worker death).
 bool writeMessage(int fd, MsgType type, const std::string& payload);

@@ -42,9 +42,14 @@ int parsePositiveInt(const std::string& text, const char* what) {
   return static_cast<int>(value);
 }
 
-void countWorker(const char* name) {
-  telemetry::Registry::global().counter(name).add();
-}
+telemetry::Counter& pushRejectedTotal = telemetry::Registry::global().counter(
+    "hayat_worker_cache_push_rejected_total");
+telemetry::Counter& pushStoredTotal = telemetry::Registry::global().counter(
+    "hayat_worker_cache_push_stored_total");
+telemetry::Counter& scrapesTotal = telemetry::Registry::global().counter(
+    "hayat_worker_metrics_requests_total");
+telemetry::Histogram& taskSeconds = telemetry::Registry::global().histogram(
+    "hayat_worker_task_seconds", {0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0});
 
 /// A pushed entry is best-effort cache warming: malformed frames and
 /// failed stores are counted and dropped, never fatal — a corrupt push
@@ -58,17 +63,17 @@ void handleCachePush(const std::string& payload) {
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[worker %d] rejecting cache push: %s\n", ::getpid(),
                  e.what());
-    countWorker("hayat_worker_cache_push_rejected_total");
+    pushRejectedTotal.add();
     return;
   }
   if (!resolveCacheEnabled()) {
-    countWorker("hayat_worker_cache_push_rejected_total");
+    pushRejectedTotal.add();
     return;
   }
   if (storePushedCacheEntry(resolveCacheDir(), name, hash, fileBytes)) {
-    countWorker("hayat_worker_cache_push_stored_total");
+    pushStoredTotal.add();
   } else {
-    countWorker("hayat_worker_cache_push_rejected_total");
+    pushRejectedTotal.add();
   }
 }
 
@@ -151,7 +156,7 @@ std::string workerMetricsHttpResponse(const std::string& target) {
   // Advances even with telemetry disabled, so /metrics always has at
   // least one sample and a scrape of an idle worker is distinguishable
   // from a scrape of nothing.
-  countWorker("hayat_worker_metrics_requests_total");
+  scrapesTotal.add();
   if (target != "/metrics") return workerHttpResponse(404, "not found\n");
   std::ostringstream body;
   telemetry::writePrometheus(body, telemetry::Registry::global().snapshot(),
@@ -256,10 +261,6 @@ int runWorkerLoop(int inFd, int outFd, int faultSlot) {
           serving.spec.populationSeed);
       std::string metrics;
       if (telemetry::enabled()) {
-        static telemetry::Histogram& taskSeconds =
-            telemetry::Registry::global().histogram(
-                "hayat_worker_task_seconds",
-                {0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0});
         taskSeconds.observe(
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           started)
@@ -367,7 +368,6 @@ int spawnWorker(const WorkerEndpoint& endpoint, int slot, pid_t& pid) {
   }
 
   telemetry::installForkHandlers();
-  primeWireTelemetry();
   static std::mutex spawnMutex;
   const std::scoped_lock lock(spawnMutex);
   int sv[2];

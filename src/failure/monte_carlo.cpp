@@ -13,6 +13,13 @@ namespace hayat {
 
 namespace {
 
+telemetry::Counter& samplesTotal =
+    telemetry::Registry::global().counter("hayat_failure_samples_total");
+telemetry::Counter& emKillsTotal =
+    telemetry::Registry::global().counter("hayat_failure_em_kills_total");
+telemetry::Counter& tddbKillsTotal =
+    telemetry::Registry::global().counter("hayat_failure_tddb_kills_total");
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -177,15 +184,12 @@ LifetimeDistribution FailureMonteCarlo::run(
   }
 
   if (telemetry::enabled()) {
-    static auto& samples =
-        telemetry::Registry::global().counter("hayat_failure_samples_total");
-    static auto& emKills =
-        telemetry::Registry::global().counter("hayat_failure_em_kills_total");
-    static auto& tddbKills = telemetry::Registry::global().counter(
-        "hayat_failure_tddb_kills_total");
-    samples.add(static_cast<std::uint64_t>(config_.samples));
-    emKills.add(static_cast<std::uint64_t>(out.emKills));
-    tddbKills.add(static_cast<std::uint64_t>(out.tddbKills));
+    samplesTotal.add(static_cast<std::uint64_t>(config_.samples));
+    emKillsTotal.add(static_cast<std::uint64_t>(out.emKills));
+    tddbKillsTotal.add(static_cast<std::uint64_t>(out.tddbKills));
+    // Named by the failure graph, so looked up here: the one metric not
+    // bound at static initialisation.  A plain lookup is fork-safe (the
+    // registry mutex is held across fork()).
     for (const UnitFailureStats& unit : out.units) {
       auto& kills = telemetry::Registry::global().counter(
           "hayat_failure_unit_kills_total_" + unit.name);

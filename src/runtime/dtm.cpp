@@ -10,22 +10,12 @@ namespace hayat {
 
 namespace {
 
-/// The DTM's action counters, registered on first use.  reserve()
-/// registers them ahead of a window's step loop, so the registry's
-/// first-use allocations never land inside the allocation-free loop.
-struct DtmCounters {
-  telemetry::Counter& restores;
-  telemetry::Counter& migrations;
-  telemetry::Counter& throttles;
-};
-
-const DtmCounters& dtmCounters() {
-  static const DtmCounters counters{
-      telemetry::Registry::global().counter("hayat_dtm_restores_total"),
-      telemetry::Registry::global().counter("hayat_dtm_migrations_total"),
-      telemetry::Registry::global().counter("hayat_dtm_throttles_total")};
-  return counters;
-}
+telemetry::Counter& restoresTotal =
+    telemetry::Registry::global().counter("hayat_dtm_restores_total");
+telemetry::Counter& migrationsTotal =
+    telemetry::Registry::global().counter("hayat_dtm_migrations_total");
+telemetry::Counter& throttlesTotal =
+    telemetry::Registry::global().counter("hayat_dtm_throttles_total");
 
 }  // namespace
 
@@ -47,7 +37,6 @@ void DtmManager::reserve(int cores, const WorkloadMix& mix) {
     lastMigration(ThreadRef{apps - 1, stride - 1});
   hotScratch_.reserve(static_cast<std::size_t>(cores));
   pool_.reserve(static_cast<std::size_t>(cores));
-  if (telemetry::enabled()) dtmCounters();
 }
 
 long& DtmManager::lastMigration(const ThreadRef& ref) {
@@ -99,7 +88,7 @@ int DtmManager::enforce(Mapping& mapping, const Vector& coreTemperatures,
     if (slot->frequency < slot->requiredFrequency && t < coldLimit) {
       mapping.restoreFrequency(i);
       ++stats_.restores;
-      if (telemetry::enabled()) dtmCounters().restores.add();
+      if (telemetry::enabled()) restoresTotal.add();
     }
     if (t >= config_.tsafe) hot.push_back(i);
   }
@@ -153,7 +142,7 @@ int DtmManager::enforce(Mapping& mapping, const Vector& coreTemperatures,
       }
       last = tick_;
       ++stats_.migrations;
-      if (telemetry::enabled()) dtmCounters().migrations.add();
+      if (telemetry::enabled()) migrationsTotal.add();
       ++actions;
     } else {
       // No eligible target: throttle in place (never below the floor).
@@ -163,7 +152,7 @@ int DtmManager::enforce(Mapping& mapping, const Vector& coreTemperatures,
       if (throttled < slot->frequency) {
         mapping.setFrequency(hotCore, throttled);
         ++stats_.throttles;
-        if (telemetry::enabled()) dtmCounters().throttles.add();
+        if (telemetry::enabled()) throttlesTotal.add();
         ++actions;
       }
     }

@@ -60,10 +60,9 @@ class DtmManager {
   int enforce(Mapping& mapping, const Vector& coreTemperatures,
               const HealthMap& health);
 
-  /// Sizes every table enforce() uses for `mix` on `cores` cores, and
-  /// registers the DTM counters when telemetry is on, so a window's
-  /// enforce() calls allocate nothing, migrations included.  Optional:
-  /// enforce() grows the tables itself when needed.
+  /// Sizes every table enforce() uses for `mix` on `cores` cores, so a
+  /// window's enforce() calls allocate nothing, migrations included.
+  /// Optional: enforce() grows the tables itself when needed.
   void reserve(int cores, const WorkloadMix& mix);
 
  private:

@@ -17,6 +17,16 @@ namespace {
 std::atomic<long> runCount{0};
 std::atomic<std::uint64_t> stepLoopAllocs{0};
 
+telemetry::Counter& windowsTotal =
+    telemetry::Registry::global().counter("hayat_epoch_windows_total");
+telemetry::Counter& laneWindowsTotal =
+    telemetry::Registry::global().counter("hayat_epoch_lane_windows_total");
+telemetry::Counter& stepAllocsTotal =
+    telemetry::Registry::global().counter("hayat_epoch_step_allocs");
+telemetry::Histogram& windowSeconds = telemetry::Registry::global().histogram(
+    "hayat_epoch_window_seconds",
+    {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0});
+
 /// One core's phase memo: the phase its thread (identified by profile)
 /// runs, and the last step through which it provably keeps running it
 /// (DESIGN.md §3.13).
@@ -325,26 +335,16 @@ std::vector<EpochResult> EpochSimulator::runLanes(
   for (LaneWindow& w : windows) results.push_back(w.finish());
 
   if (telemetry::enabled()) {
-    static telemetry::Counter& windowsTotal =
-        telemetry::Registry::global().counter("hayat_epoch_windows_total");
-    static telemetry::Counter& laneWindows =
-        telemetry::Registry::global().counter(
-            "hayat_epoch_lane_windows_total");
-    static telemetry::Counter& stepAllocs =
-        telemetry::Registry::global().counter("hayat_epoch_step_allocs");
-    static telemetry::Histogram& duration =
-        telemetry::Registry::global().histogram(
-            "hayat_epoch_window_seconds",
-            {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0});
     windowsTotal.add(lanes.size());
-    if (lanes.size() > 1) laneWindows.add(lanes.size());
-    if (loopAllocs > 0) stepAllocs.add(loopAllocs);
+    if (lanes.size() > 1) laneWindowsTotal.add(lanes.size());
+    if (loopAllocs > 0) stepAllocsTotal.add(loopAllocs);
     // Each lane window is charged its share of the lockstep wall time.
     if (windowT0 != 0) {
       const double share =
           static_cast<double>(telemetry::nowNanos() - windowT0) * 1e-9 /
           static_cast<double>(width);
-      for (std::size_t k = 0; k < lanes.size(); ++k) duration.observe(share);
+      for (std::size_t k = 0; k < lanes.size(); ++k)
+        windowSeconds.observe(share);
     }
   }
   return results;

@@ -15,9 +15,14 @@ namespace {
 
 constexpr const char* kMagic = "# hayat-job v1";
 
-void countJob(const char* name) {
-  telemetry::Registry::global().counter(name).add();
-}
+telemetry::Counter& jobsRecoveredTotal =
+    telemetry::Registry::global().counter("hayat_serve_jobs_recovered_total");
+telemetry::Counter& jobsRejectedTotal =
+    telemetry::Registry::global().counter("hayat_serve_jobs_rejected_total");
+telemetry::Counter& jobsSubmittedTotal =
+    telemetry::Registry::global().counter("hayat_serve_jobs_submitted_total");
+telemetry::Counter& journalSkippedTotal =
+    telemetry::Registry::global().counter("hayat_serve_journal_skipped_total");
 
 /// One key=value line; the value may not contain newlines (the error
 /// field is sanitized before it gets here).
@@ -127,14 +132,14 @@ JobQueue::JobQueue(std::string dir, Limits limits)
     if (!in || !decodeJobRecord(bytes.str(), job)) {
       std::fprintf(stderr, "[serve] skipping unreadable job file %s\n",
                    entry.path().string().c_str());
-      countJob("hayat_serve_journal_skipped_total");
+      journalSkippedTotal.add();
       continue;
     }
     // The daemon that was running this job is gone; its tasks are
     // deterministic, so re-queue and rerun.
     if (job.state == JobState::Running) {
       job.state = JobState::Queued;
-      countJob("hayat_serve_jobs_recovered_total");
+      jobsRecoveredTotal.add();
     }
     nextSeq_ = std::max(nextSeq_, job.seq + 1);
     jobs_.push_back(std::move(job));
@@ -181,11 +186,11 @@ JobQueue::Admission JobQueue::submit(JobRecord& job) {
     if (j.client == job.client) ++clientActive;
   }
   if (active >= limits_.maxQueueDepth) {
-    countJob("hayat_serve_jobs_rejected_total");
+    jobsRejectedTotal.add();
     return Admission::QueueFull;
   }
   if (clientActive >= limits_.maxClientActive) {
-    countJob("hayat_serve_jobs_rejected_total");
+    jobsRejectedTotal.add();
     return Admission::ClientLimit;
   }
   job.seq = nextSeq_++;
@@ -193,7 +198,7 @@ JobQueue::Admission JobQueue::submit(JobRecord& job) {
   job.state = JobState::Queued;
   jobs_.push_back(job);
   persistLocked(job);
-  countJob("hayat_serve_jobs_submitted_total");
+  jobsSubmittedTotal.add();
   return Admission::Accepted;
 }
 

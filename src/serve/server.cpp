@@ -22,15 +22,40 @@ namespace {
 
 using std::chrono::steady_clock;
 
-void count(const char* name, std::uint64_t n = 1) {
-  telemetry::Registry::global().counter(name).add(n);
-}
-
-telemetry::Histogram& jobLatencyHistogram() {
-  return telemetry::Registry::global().histogram(
-      "hayat_serve_job_latency_seconds",
-      {0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0, 600.0});
-}
+// The front door's counters advance with telemetry off too, so /metrics
+// always reports the service's traffic.
+telemetry::Counter& authFailuresTotal =
+    telemetry::Registry::global().counter("hayat_serve_auth_failures_total");
+telemetry::Counter& drainsTotal =
+    telemetry::Registry::global().counter("hayat_serve_drains_total");
+telemetry::Counter& badRequestsTotal = telemetry::Registry::global().counter(
+    "hayat_serve_http_bad_requests_total");
+telemetry::Counter& httpRequestsTotal =
+    telemetry::Registry::global().counter("hayat_serve_http_requests_total");
+telemetry::Counter& jobsCancelledTotal =
+    telemetry::Registry::global().counter("hayat_serve_jobs_cancelled_total");
+telemetry::Counter& jobsCompletedTotal =
+    telemetry::Registry::global().counter("hayat_serve_jobs_completed_total");
+telemetry::Counter& jobsFailedTotal =
+    telemetry::Registry::global().counter("hayat_serve_jobs_failed_total");
+telemetry::Counter& jobsStartedTotal =
+    telemetry::Registry::global().counter("hayat_serve_jobs_started_total");
+telemetry::Counter& streamsTotal =
+    telemetry::Registry::global().counter("hayat_serve_streams_total");
+telemetry::Counter& truncatedTotal = telemetry::Registry::global().counter(
+    "hayat_serve_streams_truncated_total");
+telemetry::Counter& wireRejectedTotal =
+    telemetry::Registry::global().counter("hayat_serve_wire_rejected_total");
+telemetry::Histogram& jobLatencySeconds =
+    telemetry::Registry::global().histogram(
+        "hayat_serve_job_latency_seconds",
+        {0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0, 600.0});
+telemetry::Gauge& queueDepth =
+    telemetry::Registry::global().gauge("hayat_serve_queue_depth");
+telemetry::Gauge& backlogTasks =
+    telemetry::Registry::global().gauge("hayat_serve_backlog_tasks");
+telemetry::Gauge& jobsRunning =
+    telemetry::Registry::global().gauge("hayat_serve_jobs_running");
 
 bool writeAll(int fd, const std::string& data) {
   std::size_t off = 0;
@@ -117,7 +142,7 @@ bool ServeServer::start() {
 
 void ServeServer::beginDrain() {
   draining_.store(true);
-  count("hayat_serve_drains_total");
+  drainsTotal.add();
 }
 
 void ServeServer::stop() {
@@ -176,16 +201,10 @@ void ServeServer::acceptLoop() {
 }
 
 void ServeServer::pumpLoop() {
-  auto& depthGauge =
-      telemetry::Registry::global().gauge("hayat_serve_queue_depth");
-  auto& backlogGauge =
-      telemetry::Registry::global().gauge("hayat_serve_backlog_tasks");
-  auto& runningGauge =
-      telemetry::Registry::global().gauge("hayat_serve_jobs_running");
   while (!stopping_.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    depthGauge.set(queue_.activeCount());
-    backlogGauge.set(scheduler_->backlog());
+    queueDepth.set(queue_.activeCount());
+    backlogTasks.set(scheduler_->backlog());
 
     std::lock_guard<std::mutex> lock(runningMutex_);
     // Retire finished runs.
@@ -195,7 +214,7 @@ void ServeServer::pumpLoop() {
       if (info.run->failed()) {
         queue_.setState(id, JobState::Failed, info.run->error());
         scheduler_->detach(id, info.run);
-        count("hayat_serve_jobs_failed_total");
+        jobsFailedTotal.add();
         it = running_.erase(it);
       } else if (info.run->complete()) {
         queue_.setState(id, JobState::Completed);
@@ -203,16 +222,16 @@ void ServeServer::pumpLoop() {
             std::chrono::duration<double>(steady_clock::now() -
                                           info.started)
                 .count();
-        jobLatencyHistogram().observe(seconds);
+        jobLatencySeconds.observe(seconds);
         scheduler_->detach(id, info.run);
-        count("hayat_serve_jobs_completed_total");
+        jobsCompletedTotal.add();
         it = running_.erase(it);
       } else {
         ++it;
       }
     }
     admitLocked();
-    runningGauge.set(static_cast<double>(running_.size()));
+    jobsRunning.set(static_cast<double>(running_.size()));
   }
 }
 
@@ -229,7 +248,7 @@ void ServeServer::admitLocked() {
       // change across a restart) fails loudly instead of wedging the
       // queue.
       queue_.setState(job.id, JobState::Failed, e.what());
-      count("hayat_serve_jobs_failed_total");
+      jobsFailedTotal.add();
       continue;
     }
     RunningJob info;
@@ -237,7 +256,7 @@ void ServeServer::admitLocked() {
     info.started = steady_clock::now();
     queue_.setState(job.id, JobState::Running);
     running_.emplace(job.id, std::move(info));
-    count("hayat_serve_jobs_started_total");
+    jobsStartedTotal.add();
   }
 }
 
@@ -272,7 +291,7 @@ void ServeServer::handleConnection(int fd) {
     if (got < 0) got = 0;
   }
   if (peek[0] == 'H' && peek[1] == 'W') {
-    count("hayat_serve_wire_rejected_total");
+    wireRejectedTotal.add();
     ::close(fd);
     return;
   }
@@ -288,7 +307,7 @@ void ServeServer::handleConnection(int fd) {
     const HttpParse st = parseHttpRequest(buffer, req, consumed, error);
     if (st == HttpParse::Ok) break;
     if (st == HttpParse::Bad) {
-      count("hayat_serve_http_bad_requests_total");
+      badRequestsTotal.add();
       writeAll(fd, httpResponse(400, "text/plain", error + "\n"));
       ::close(fd);
       return;
@@ -318,7 +337,7 @@ void ServeServer::handleConnection(int fd) {
 }
 
 void ServeServer::route(const HttpRequest& req, int fd) {
-  count("hayat_serve_http_requests_total");
+  httpRequestsTotal.add();
 
   if (req.path == "/healthz") {
     writeAll(fd, httpResponse(200, "text/plain", "ok\n"));
@@ -340,7 +359,7 @@ void ServeServer::route(const HttpRequest& req, int fd) {
     return;
   }
   if (!authorized(req)) {
-    count("hayat_serve_auth_failures_total");
+    authFailuresTotal.add();
     writeAll(fd, httpResponse(401, "text/plain", "unauthorized\n",
                               {{"WWW-Authenticate", "Bearer"}}));
     return;
@@ -465,7 +484,7 @@ void ServeServer::route(const HttpRequest& req, int fd) {
       scheduler_->detach(id, it->second.run);
       running_.erase(it);
     }
-    count("hayat_serve_jobs_cancelled_total");
+    jobsCancelledTotal.add();
     JobRecord cancelled = *fresh;
     cancelled.state = JobState::Cancelled;
     writeAll(fd, httpResponse(200, "text/plain",
@@ -524,7 +543,7 @@ void ServeServer::streamResults(const std::string& id, int fd) {
     }
   }
 
-  count("hayat_serve_streams_total");
+  streamsTotal.add();
   bool ok = writeAll(fd, httpChunkedHead(200, "text/plain"));
   const int tasks = run->taskCount();
   for (int i = 0; ok && i < tasks; ++i) {
@@ -550,7 +569,7 @@ void ServeServer::streamResults(const std::string& id, int fd) {
   if (ok) {
     writeAll(fd, httpChunkEnd());
   } else {
-    count("hayat_serve_streams_truncated_total");
+    truncatedTotal.add();
   }
   if (!streamJobId.empty()) scheduler_->detach(streamJobId, run);
 }

@@ -1,7 +1,9 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -185,17 +187,31 @@ std::string encodeCounterDeltas(std::map<std::string, std::uint64_t>& lastSent,
 
 namespace {
 
+/// Digits only, in range: these frames come from workers outside the
+/// process, and strtoull would take "-1" (as 2^64 - 1), " 7" or "+7",
+/// and saturate on overflow.
+bool parseU64(const std::string& text, std::uint64_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc() && stop == end;
+}
+
+/// A finite double (strtod also takes "nan" and "inf").
+bool parseDouble(const std::string& text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return end == text.c_str() + text.size() && !text.empty() &&
+         std::isfinite(out);
+}
+
 bool parseCounterLine(
     const std::string& line,
     std::vector<std::pair<std::string, std::uint64_t>>& out) {
   const std::size_t comma = line.rfind(',');
   if (comma <= 2 || comma == std::string::npos) return false;
   const std::string name = line.substr(2, comma - 2);
-  char* parseEnd = nullptr;
-  const std::uint64_t delta =
-      std::strtoull(line.c_str() + comma + 1, &parseEnd, 10);
-  if (parseEnd == nullptr || *parseEnd != '\0' || name.empty())
-    return false;
+  std::uint64_t delta = 0;
+  if (name.empty() || !parseU64(line.substr(comma + 1), delta)) return false;
   out.emplace_back(name, delta);
   return true;
 }
@@ -210,18 +226,6 @@ std::vector<std::string> splitOn(const std::string& text, char sep) {
     start = end + 1;
   }
   return out;
-}
-
-bool parseU64(const std::string& text, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(text.c_str(), &end, 10);
-  return end == text.c_str() + text.size() && !text.empty();
-}
-
-bool parseDouble(const std::string& text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size() && !text.empty();
 }
 
 /// "h,<name>,<countDelta>,<sumDelta>,<le>:<d>,...,+Inf:<d>"

@@ -11,9 +11,11 @@
 //   2. Enabled must be lock-cheap on hot paths.  Counters are sharded
 //      across cache-line-padded atomics indexed by thread, so concurrent
 //      increments from the task pool do not bounce a single line.
-//   3. Metric objects never move.  `Registry::global().counter(name)`
-//      returns a reference that stays valid for the process lifetime, so
-//      call sites cache it in a function-local static.
+//   3. Metric objects never move, so the .cpp that updates a metric
+//      binds its handle once, during static initialisation: a
+//      namespace-scope `Counter&`/`Gauge&`/`Histogram&`, or a member of
+//      a namespace-scope object (SharedMemo).  No call site takes the
+//      registry mutex, and no first-use guard is in flight at fork().
 //
 // This library sits below common/ (it depends only on the standard
 // library) so every layer — thermal, runtime, core, engine — can
@@ -121,9 +123,10 @@ struct MetricsSnapshot {
   std::vector<HistogramSnapshot> histograms;
 };
 
-/// Named metric registry.  Lookup takes a mutex (call sites cache the
-/// returned reference); the metric objects themselves are allocated once
-/// and never move or die.
+/// Named metric registry.  Lookup takes a mutex, so callers look a
+/// metric up once, during static initialisation, and keep the
+/// reference; the metric objects are allocated once and never move or
+/// die.
 class Registry {
  public:
   static Registry& global();
